@@ -1,28 +1,21 @@
 """Build script for the optional compiled search kernel.
 
 The package is pure Python except for surfacemaps._backtrack, a small
-Cython extension that accelerates the backtracking enumeration of
-simplicial vertex maps.  The extension is marked optional: if Cython or
-a C compiler is unavailable the install still succeeds and the package
-falls back to the pure-Python search at import time.
+hand-written C extension (plain CPython API, no code generator) that
+accelerates the backtracking enumeration of simplicial vertex maps.  A C
+compiler is all it needs.  The extension is marked optional: if no
+compiler is available the install still succeeds and the package falls
+back to the pure-Python search at import time.
 """
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    ext_modules = []
-else:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "surfacemaps._backtrack",
-                ["src/surfacemaps/_backtrack.pyx"],
-                optional=True,
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension(
+            "surfacemaps._backtrack",
+            ["src/surfacemaps/_backtrack.c"],
+            optional=True,
+        )
+    ]
+)

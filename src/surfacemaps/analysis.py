@@ -6,7 +6,7 @@ tried in codomain label order, so maps are emitted in a fixed lexicographic
 order.  Pruning is exact, not heuristic: a partial assignment is extended
 only while every fully-assigned domain edge lands on a codomain edge or a
 single vertex, and every fully-assigned facet lands on a facet, an edge or
-a vertex.  Two interchangeable backends run the same search: a Cython
+a vertex.  Two interchangeable backends run the same search: a compiled C
 kernel (surfacemaps._backtrack) and a pure-Python fallback; they emit
 identical sequences and tests compare them directly.
 """
@@ -225,7 +225,12 @@ def _python_search(
                 return False
         return True
 
-    dfs(0, start is not None)
+    try:
+        dfs(0, start is not None)
+    finally:
+        # dfs refers to itself through its closure cell; unbinding it breaks
+        # that cycle so out is freed by refcounting, not by a later full GC.
+        del dfs
     return out, truncated
 
 
@@ -290,15 +295,21 @@ def _vector_to_map(problem: _SearchProblem, vector: tuple[int, ...]) -> Simplici
 
 
 def _resume_vector(problem: _SearchProblem, token: Mapping[str, Any]) -> tuple[int, ...]:
-    if tuple(token.get("domain_order", ())) != problem.dom_order or tuple(
-        token.get("codomain_order", ())
-    ) != problem.cod_order:
+    if not isinstance(token, Mapping):
+        raise ValueError("resume token must be a mapping")
+    dom, cod = token.get("domain_order"), token.get("codomain_order")
+    if not isinstance(dom, (list, tuple)) or not isinstance(cod, (list, tuple)):
+        raise ValueError("resume token lacks its domain_order/codomain_order lists")
+    if tuple(dom) != problem.dom_order or tuple(cod) != problem.cod_order:
         raise ValueError("resume token does not belong to this domain/codomain pair")
     cod_index = {v: i for i, v in enumerate(problem.cod_order)}
     last = token.get("last_assignment")
     if not isinstance(last, (list, tuple)) or len(last) != len(problem.dom_order):
         raise ValueError("resume token has a malformed last_assignment")
-    return tuple(cod_index[v] for v in last)
+    try:
+        return tuple(cod_index[v] for v in last)
+    except (KeyError, TypeError):
+        raise ValueError("resume token assigns a vertex outside the codomain") from None
 
 
 def _make_token(problem: _SearchProblem, vector: tuple[int, ...]) -> dict[str, Any]:

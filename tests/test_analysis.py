@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import os
 
 import pytest
@@ -23,16 +24,46 @@ from surfacemaps import (
     degree_spectrum,
     enumerate_simplicial_maps,
     is_simplicial,
+    sigma2_10v,
     simplicial_volume,
     tetrahedron,
     torus7,
     validate_simplicial,
     vertex_lower_bound,
 )
+from surfacemaps import analysis
 from surfacemaps.analysis import ENV_CAPS_VAR
 
 TORUS = torus7()
 TETRA = tetrahedron()
+SIGMA2 = sigma2_10v().surface
+
+
+def require_compiled() -> None:
+    """Skip when the compiled kernel is not built.
+
+    With SURFACEMAPS_REQUIRE_COMPILED=1 in the environment the missing
+    kernel is a failure instead, so a build that silently fell back to the
+    Python backend cannot pass the backend-equality tests by skipping them.
+    """
+    if "compiled" in available_backends():
+        return
+    if os.environ.get("SURFACEMAPS_REQUIRE_COMPILED") == "1":
+        pytest.fail("compiled backend not built but SURFACEMAPS_REQUIRE_COMPILED=1")
+    pytest.skip("compiled backend not built")
+
+
+def budgeted_chunks(dom, cod, budget, backend):
+    """(partial maps, resume token) of every chunk of a budgeted sweep."""
+    caps = EnumerationCaps(max_maps=budget)
+    chunks, token = [], None
+    while True:
+        try:
+            chunks.append((enumerate_simplicial_maps(dom, cod, caps, token, backend), None))
+            return chunks
+        except SearchCapExceeded as exc:
+            token = exc.resume_token
+            chunks.append((list(exc.partial_maps), token))
 
 
 # ---------------------------------------------------------------- caps
@@ -98,12 +129,107 @@ def test_enumeration_is_duplicate_free_and_simplicial():
 
 
 def test_backends_emit_identical_sequences():
-    if "compiled" not in available_backends():
-        pytest.skip("compiled backend not built")
+    require_compiled()
     for dom, cod in [(TETRA, TETRA), (TETRA, TORUS), (TORUS, TORUS)]:
         a = enumerate_simplicial_maps(dom, cod, backend="python")
         b = enumerate_simplicial_maps(dom, cod, backend="compiled")
         assert a == b
+
+
+@pytest.mark.parametrize("dom, cod, budget", [(TETRA, TORUS, 100), (TORUS, TORUS, 5000)])
+def test_backends_agree_on_budgeted_and_resumed_chunks(dom, cod, budget):
+    require_compiled()
+    a = budgeted_chunks(dom, cod, budget, "python")
+    b = budgeted_chunks(dom, cod, budget, "compiled")
+    assert len(a) > 1
+    assert a == b
+
+
+@pytest.mark.parametrize("surface", [TETRA, TORUS, SIGMA2], ids=["tetra", "torus7", "sigma2_10v"])
+def test_backends_agree_on_bijective_search(surface):
+    require_compiled()
+    caps = EnumerationCaps(bijective_only=True)
+    a = enumerate_simplicial_maps(surface, surface, caps, backend="python")
+    b = enumerate_simplicial_maps(surface, surface, caps, backend="compiled")
+    assert a and a == b
+
+
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+def test_bijective_search_between_different_sizes_is_empty(backend):
+    if backend == "compiled":
+        require_compiled()
+    caps = EnumerationCaps(bijective_only=True)
+    assert enumerate_simplicial_maps(TETRA, TORUS, caps, backend=backend) == []
+    assert enumerate_simplicial_maps(TORUS, TETRA, caps, backend=backend) == []
+
+
+def test_python_search_leaves_no_cyclic_garbage():
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_simplicial_maps(TORUS, TORUS, backend="python")
+        try:
+            enumerate_simplicial_maps(TORUS, TORUS, EnumerationCaps(max_maps=500), backend="python")
+        except SearchCapExceeded:
+            pass
+        degree_spectrum(TORUS, TORUS, backend="python")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# Valid kernel tables for a 3-vertex domain whose vertices pairwise share an
+# edge and which has one facet, mapped into a codomain that is one triangle.
+KERNEL_ARGS = dict(
+    n=3,
+    m=3,
+    pair_off=[0, 0, 1, 3],
+    pair_pos=[0, 0, 1],
+    tri_off=[0, 0, 0, 2],
+    tri_pos=[0, 1],
+    edge=bytes([0, 1, 1, 1, 0, 1, 1, 1, 0]),
+    facet=bytes(5) + b"\x01" + bytes(21),
+    bijective=False,
+    max_maps=-1,
+    start=None,
+)
+
+
+def test_kernel_accepts_well_formed_tables():
+    require_compiled()
+    vectors, truncated = analysis._kernel.search(**KERNEL_ARGS)
+    assert len(vectors) == 27 and vectors == sorted(vectors) and not truncated
+    vectors, truncated = analysis._kernel.search(**dict(KERNEL_ARGS, max_maps=4, start=[0, 1, 2]))
+    assert vectors == [(0, 2, 0), (0, 2, 1), (0, 2, 2), (1, 0, 0)] and truncated
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"edge": bytes(8)},
+        {"facet": bytes(26)},
+        {"n": 4},
+        {"m": -1},
+        {"pair_off": [0, 0, 1]},
+        {"pair_off": [1, 1, 1, 3]},
+        {"pair_off": [0, 2, 1, 3]},
+        {"pair_off": [0, 0, 1, 4]},
+        {"pair_pos": [0, 0, 2]},
+        {"pair_pos": [0, -1, 1]},
+        {"pair_pos": [1, 0, 1]},
+        {"tri_off": [0, 0, 2, 2]},
+        {"tri_off": [0, 0, 1, 2]},
+        {"tri_pos": [0, 3]},
+        {"tri_off": [0, 0, 0, 3], "tri_pos": [0, 1, 1]},
+        {"start": [0, 0]},
+        {"start": [0, 0, 3]},
+        {"start": [0, -1, 0]},
+    ],
+)
+def test_kernel_rejects_malformed_tables(override):
+    require_compiled()
+    with pytest.raises(ValueError):
+        analysis._kernel.search(**dict(KERNEL_ARGS, **override))
 
 
 def test_budget_and_resume_chunking_reassembles_everything():
@@ -132,6 +258,27 @@ def test_resume_token_rejects_foreign_pair():
     token = exc.value.resume_token
     with pytest.raises(ValueError):
         enumerate_simplicial_maps(TETRA, TETRA, resume_token=token)
+
+
+@pytest.mark.parametrize("bad_vertex", ["v99", ["v1"]], ids=["unknown", "unhashable"])
+def test_resume_token_rejects_vertices_outside_codomain(bad_vertex):
+    caps = EnumerationCaps(max_maps=5)
+    with pytest.raises(SearchCapExceeded) as exc:
+        enumerate_simplicial_maps(TORUS, TORUS, caps)
+    token = dict(exc.value.resume_token)
+    token["last_assignment"] = [bad_vertex] + token["last_assignment"][1:]
+    with pytest.raises(ValueError, match="resume token"):
+        enumerate_simplicial_maps(TORUS, TORUS, caps, resume_token=token)
+
+
+@pytest.mark.parametrize(
+    "token",
+    [["v1"], {"domain_order": 5}, {"domain_order": None, "codomain_order": None}, {}],
+    ids=["not-a-mapping", "int-order", "none-orders", "empty"],
+)
+def test_resume_token_rejects_malformed_shapes(token):
+    with pytest.raises(ValueError, match="resume token"):
+        enumerate_simplicial_maps(TORUS, TORUS, resume_token=token)
 
 
 def test_unknown_backend_rejected():
@@ -210,12 +357,15 @@ def test_partial_spectrum_carries_resume_token():
 
 
 def test_spectrum_backends_agree():
-    if "compiled" not in available_backends():
-        pytest.skip("compiled backend not built")
-    a = degree_spectrum(TETRA, TORUS, backend="python")
-    b = degree_spectrum(TETRA, TORUS, backend="compiled")
-    assert a.achievable_degrees == b.achievable_degrees
-    assert a.total_maps == b.total_maps
+    require_compiled()
+    for dom, cod in [(TETRA, TETRA), (TETRA, TORUS), (TORUS, TORUS)]:
+        a = degree_spectrum(dom, cod, backend="python")
+        b = degree_spectrum(dom, cod, backend="compiled")
+        assert a.achievable_degrees == b.achievable_degrees
+        assert a.total_maps == b.total_maps
+        assert {d: w.assignment for d, w in a.witnesses.items()} == {
+            d: w.assignment for d, w in b.witnesses.items()
+        }
 
 
 # --------------------------------------------------------------- bounds
