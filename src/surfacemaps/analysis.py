@@ -63,13 +63,18 @@ class EnumerationCaps:
 
     Beyond the vertex caps only bijective search is allowed, since the raw
     candidate space grows as |V_codomain| ** |V_domain|.  max_maps bounds
-    the number of emitted maps per call; None means unlimited.
+    the number of emitted maps per call; None means unlimited, and a budget
+    below 1 is rejected because it could never advance a resumed sweep.
     """
 
     max_domain_vertices: int = 10
     max_codomain_vertices: int = 10
     max_maps: int | None = None
     bijective_only: bool = False
+
+    def __post_init__(self) -> None:
+        if self.max_maps is not None and self.max_maps < 1:
+            raise ValueError(f"max_maps must be at least 1 or None, got {self.max_maps}")
 
     @staticmethod
     def parse(text: str) -> "EnumerationCaps":
@@ -320,20 +325,18 @@ def _make_token(problem: _SearchProblem, vector: tuple[int, ...]) -> dict[str, A
     }
 
 
-def enumerate_simplicial_maps(
+def _sweep(
     domain: TriangulatedSurface,
     codomain: TriangulatedSurface,
-    caps: EnumerationCaps | None = None,
+    caps: EnumerationCaps | None,
+    backend: str,
     resume_token: Mapping[str, Any] | None = None,
-    backend: str = "auto",
-) -> list[SimplicialVertexMap]:
-    """Every total simplicial vertex map from domain to codomain, exactly once.
+) -> tuple[_SearchProblem, EnumerationCaps, list[tuple[int, ...]], bool, dict[str, Any] | None]:
+    """Run one guarded search.  Returns (problem, caps, vectors, truncated, token).
 
-    Deterministic order (see module docstring).  Raises SearchCapExceeded
-    when the surfaces exceed the vertex caps for a non-bijective search, or
-    when max_maps maps were emitted with candidates remaining; in the
-    latter case the exception carries the partial list and a resume token
-    that continues the enumeration right after the last emitted map.
+    caps None means EnumerationCaps.default().  The token is set only when
+    the budget truncated the search (which needs max_maps >= 1 vectors
+    emitted); it resumes right after the last one.
     """
     caps = caps or EnumerationCaps.default()
     problem = _prepare(domain, codomain)
@@ -349,11 +352,28 @@ def enumerate_simplicial_maps(
     vectors, truncated = _run_backend(
         problem, backend, bijective=caps.bijective_only, max_maps=caps.max_maps, start=start
     )
+    token = _make_token(problem, vectors[-1]) if truncated else None
+    return problem, caps, vectors, truncated, token
+
+
+def enumerate_simplicial_maps(
+    domain: TriangulatedSurface,
+    codomain: TriangulatedSurface,
+    caps: EnumerationCaps | None = None,
+    resume_token: Mapping[str, Any] | None = None,
+    backend: str = "auto",
+) -> list[SimplicialVertexMap]:
+    """Every total simplicial vertex map from domain to codomain, exactly once.
+
+    Deterministic order (see module docstring).  Raises SearchCapExceeded
+    when the surfaces exceed the vertex caps for a non-bijective search, or
+    when max_maps maps were emitted with candidates remaining; in the
+    latter case the exception carries the partial list and a resume token
+    that continues the enumeration right after the last emitted map.
+    """
+    problem, caps, vectors, truncated, token = _sweep(domain, codomain, caps, backend, resume_token)
     maps = [_vector_to_map(problem, v) for v in vectors]
     if truncated:
-        token = _make_token(problem, vectors[-1]) if vectors else (
-            dict(resume_token) if resume_token is not None else None
-        )
         raise SearchCapExceeded(
             f"map budget of {caps.max_maps} reached with candidates remaining",
             reason="map-budget",
@@ -483,24 +503,7 @@ def degree_spectrum(
     a bug and raises.  When the map budget interrupts the sweep the report
     is flagged partial and carries the resume token.
     """
-    caps = caps or EnumerationCaps.default()
-    problem = _prepare(domain, codomain)
-    n, m = len(problem.dom_order), len(problem.cod_order)
-    if not caps.bijective_only and (n > caps.max_domain_vertices or m > caps.max_codomain_vertices):
-        raise SearchCapExceeded(
-            f"spectrum refused for {n}x{m} vertices (caps "
-            f"{caps.max_domain_vertices}x{caps.max_codomain_vertices})",
-            reason="vertex-guard",
-        )
-    partial = False
-    token: dict[str, Any] | None = None
-    vectors, truncated = _run_backend(
-        problem, backend, bijective=caps.bijective_only, max_maps=caps.max_maps, start=None
-    )
-    if truncated:
-        partial = True
-        token = _make_token(problem, vectors[-1]) if vectors else None
-
+    problem, caps, vectors, truncated, token = _sweep(domain, codomain, caps, backend)
     dom_facets, cod_fid, cod_sign = _bulk_degree_tables(problem)
     witnesses_vec: dict[int, tuple[int, ...]] = {}
     for vec in vectors:
@@ -527,7 +530,7 @@ def degree_spectrum(
         achievable_degrees=tuple(sorted(witnesses)),
         witnesses=witnesses,
         caps=caps,
-        partial=partial,
+        partial=truncated,
         resume_token=token,
     )
 

@@ -13,6 +13,7 @@ here is deterministic.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -90,17 +91,8 @@ def _write_bundle(bundle: constructions.ConstructionResult, out_dir: Path) -> li
     (out_dir / "report.json").write_text(
         formats.dumps_json(formats.degree_report_to_dict(bundle.report)), encoding="utf-8"
     )
-    recipe = bundle.recipe
     (out_dir / "recipe.json").write_text(
-        formats.dumps_json(
-            {
-                "variant": recipe.variant,
-                "genus": recipe.genus,
-                "degree": recipe.degree,
-                "expected_vertices": recipe.expected_vertices,
-            }
-        ),
-        encoding="utf-8",
+        formats.dumps_json(dataclasses.asdict(bundle.recipe)), encoding="utf-8"
     )
     return ["domain.json", "codomain.json", "map.json", "report.json", "recipe.json"]
 

@@ -7,6 +7,12 @@ genus, the exact vertex/facet counts and the degree of the emitted map, so
 a transcription slip in any table below fails loudly instead of producing a
 plausible-looking wrong complex.
 
+One table, _VARIANTS, holds every variant once: its applicability rule on
+(g, |d|), the vertex count its formula promises, and its builder.
+recipe_for reads the rule and the count from it (the automatic choice is
+the applicable variant with the fewest vertices), the builders certify
+against that recipe, and construct dispatches through it.
+
 Vertex labels follow the u_ROW_COLUMN scheme ("u_3_2"), with primed rows
 ("u_3'_2") for the two vertices created by edge-insertion subdivision.
 Primed vertices only exist on intermediate complexes: the connected-sum
@@ -17,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from .maps import (
     DegreeReport,
@@ -49,10 +55,19 @@ class VariantError(ValueError):
     """Requested construction parameters violate a variant's applicability rule."""
 
 
+@dataclass(frozen=True)
+class ConstructionRecipe:
+    variant: str
+    genus: int
+    degree: int
+    expected_vertices: int
+
+
 class ConstructionResult(NamedTuple):
     surface: TriangulatedSurface
     vertex_map: SimplicialVertexMap
     report: DegreeReport
+    recipe: ConstructionRecipe
 
 
 # ---------------------------------------------------------------------------
@@ -176,31 +191,30 @@ def _u_row_col(label: str) -> tuple[str, int]:
 
 def _certify(
     surface: TriangulatedSurface,
-    vertex_map: SimplicialVertexMap,
-    *,
-    expect_genus: int,
-    expect_degree: int,
-    expect_vertices: int,
+    assignment: Mapping[Vertex, Vertex],
+    recipe: ConstructionRecipe,
     expect_facets: int | None = None,
-) -> DegreeReport:
+) -> ConstructionResult:
+    """Map surface onto torus7 and check genus, vertex count and degree against the recipe."""
+    vertex_map = SimplicialVertexMap.build(surface, torus7(), assignment)
     report = validate_closed_surface(surface)
     if not report.ok:
         raise CertificationError(f"built surface is invalid: {report.violations[0]}")
     g = genus(surface)
-    if g != expect_genus:
-        raise CertificationError(f"built surface has genus {g}, expected {expect_genus}")
-    if len(surface.vertices) != expect_vertices:
+    if g != recipe.genus:
+        raise CertificationError(f"built surface has genus {g}, expected {recipe.genus}")
+    if len(surface.vertices) != recipe.expected_vertices:
         raise CertificationError(
-            f"built surface has {len(surface.vertices)} vertices, expected {expect_vertices}"
+            f"built surface has {len(surface.vertices)} vertices, expected {recipe.expected_vertices}"
         )
     if expect_facets is not None and len(surface.facets) != expect_facets:
         raise CertificationError(
             f"built surface has {len(surface.facets)} facets, expected {expect_facets}"
         )
     deg_report = degree(vertex_map)
-    if deg_report.degree != expect_degree:
-        raise CertificationError(f"built map has degree {deg_report.degree}, expected {expect_degree}")
-    return deg_report
+    if deg_report.degree != recipe.degree:
+        raise CertificationError(f"built map has degree {deg_report.degree}, expected {recipe.degree}")
+    return ConstructionResult(surface, vertex_map, deg_report, recipe)
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +234,7 @@ def build_polygon(g: int, d: int) -> ConstructionResult:
     The map collapses columns: u_ROW_COL -> vROW.  Negative d reverses the
     domain reference.
     """
-    if g < 1:
-        raise VariantError("polygon construction requires genus g >= 1")
-    if abs(d) < 2 * g - 1:
-        raise VariantError(f"polygon construction requires |d| >= 2g-1 = {2 * g - 1}, got d={d}")
+    recipe = recipe_for(g, d, "polygon")
     mag = abs(d)
     l = mag - (2 * g - 1)
     n_quads = 2 * g - 1 + l  # == mag
@@ -267,16 +278,7 @@ def build_polygon(g: int, d: int) -> ConstructionResult:
     if d < 0:
         surface = reverse_orientation(surface)
     assignment = {v: f"v{_u_row_col(v)[0]}" for v in surface.vertices}
-    vertex_map = SimplicialVertexMap.build(surface, torus7(), assignment)
-    report = _certify(
-        surface,
-        vertex_map,
-        expect_genus=g,
-        expect_degree=d,
-        expect_vertices=7 * mag + 2 - 2 * g,
-        expect_facets=14 * mag,
-    )
-    return ConstructionResult(surface, vertex_map, report)
+    return _certify(surface, assignment, recipe, expect_facets=14 * mag)
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +455,9 @@ def build_sum_high(g: int, i: int) -> ConstructionResult:
     off-centre pieces of each subdivision are the facets that map
     degenerately onto an edge of the torus.
     """
-    if g < 2 or not 0 <= i <= g - 2:
-        raise VariantError(f"sum-high construction requires g >= 2 and 0 <= i <= g-2, got (g={g}, i={i})")
+    if i < 0:
+        raise VariantError(f"sum-high construction requires i >= 0, got (g={g}, i={i})")
+    recipe = recipe_for(g, g + i, "sum-high")
     base = build_polygon(i + 1, 2 * i + 1)
     surface = base.surface
     for k in range(1, g - i):
@@ -473,8 +476,7 @@ def build_sum_high(g: int, i: int) -> ConstructionResult:
             anchor = (_u(1, 1), _u(3, col - 1), _u(7, col - 1))
         piece = split_triangle_with_edge(copy, split_facet, q_new, r_new)
         glue_to = (split_facet[0], q_new, r_new)
-        gluing = {anchor[0]: glue_to[0], anchor[1]: glue_to[1], anchor[2]: glue_to[2]}
-        surface = connected_sum(surface, piece, anchor, glue_to, gluing)
+        surface = connected_sum(surface, piece, anchor, glue_to, dict(zip(anchor, glue_to)))
 
     assignment: dict[str, str] = {}
     for v in surface.vertices:
@@ -482,16 +484,7 @@ def build_sum_high(g: int, i: int) -> ConstructionResult:
         if "'" in row:
             raise CertificationError(f"primed label {v} survived gluing; renaming is broken")
         assignment[v] = f"v{row}"
-    vertex_map = SimplicialVertexMap.build(surface, torus7(), assignment)
-    report = _certify(
-        surface,
-        vertex_map,
-        expect_genus=g,
-        expect_degree=g + i,
-        expect_vertices=6 * (g + i) + 1,
-        expect_facets=16 * g + 12 * i - 2,
-    )
-    return ConstructionResult(surface, vertex_map, report)
+    return _certify(surface, assignment, recipe, expect_facets=16 * g + 12 * i - 2)
 
 
 def build_sum_low(g: int, i: int) -> ConstructionResult:
@@ -507,8 +500,9 @@ def build_sum_low(g: int, i: int) -> ConstructionResult:
     copy, and that one exactly replaces the {1,2,4} facet consumed by the
     first gluing.
     """
-    if g < 2 or not 1 <= i <= g - 1:
-        raise VariantError(f"sum-low construction requires g >= 2 and 1 <= i <= g-1, got (g={g}, i={i})")
+    if i > g - 1:
+        raise VariantError(f"sum-low construction requires i <= g-1, got (g={g}, i={i})")
+    recipe = recipe_for(g, g - i, "sum-low")
     base_genus = g - i
     if base_genus == 1:
         surface = _torus_copy(1)
@@ -527,8 +521,7 @@ def build_sum_low(g: int, i: int) -> ConstructionResult:
         else:
             glue_to = (_u(1, col), _u(5, col), _u(7, col))
             anchor = (_u(1, 1), _u(5, col - 1), _u(7, col - 1))
-        gluing = {anchor[0]: glue_to[0], anchor[1]: glue_to[1], anchor[2]: glue_to[2]}
-        surface = connected_sum(surface, copy, anchor, glue_to, gluing)
+        surface = connected_sum(surface, copy, anchor, glue_to, dict(zip(anchor, glue_to)))
 
     # The base reference facet {1,2,4} was consumed by the first gluing;
     # re-anchor on the {2,3,5} facet of column 1, which is positive in the
@@ -539,16 +532,7 @@ def build_sum_low(g: int, i: int) -> ConstructionResult:
     for v in surface.vertices:
         row, colno = _u_row_col(v)
         assignment[v] = f"v{row}" if colno <= base_genus else "v1"
-    vertex_map = SimplicialVertexMap.build(surface, torus7(), assignment)
-    report = _certify(
-        surface,
-        vertex_map,
-        expect_genus=g,
-        expect_degree=g - i,
-        expect_vertices=6 * g - 2 * i + 1,
-        expect_facets=16 * g - 4 * i - 2,
-    )
-    return ConstructionResult(surface, vertex_map, report)
+    return _certify(surface, assignment, recipe, expect_facets=16 * g - 4 * i - 2)
 
 
 # ---------------------------------------------------------------------------
@@ -606,11 +590,7 @@ def sigma2_10v() -> ConstructionResult:
     surface = TriangulatedSurface.from_facets(
         _SIGMA2_10V_FACETS, positive_reference=("v1", "v2", "v3")
     )
-    vertex_map = SimplicialVertexMap.build(surface, torus7(), dict(_SIGMA2_10V_ASSIGNMENT))
-    report = _certify(
-        surface, vertex_map, expect_genus=2, expect_degree=1, expect_vertices=10, expect_facets=24
-    )
-    return ConstructionResult(surface, vertex_map, report)
+    return _certify(surface, dict(_SIGMA2_10V_ASSIGNMENT), recipe_for(2, 1, "sigma2-10v"), expect_facets=24)
 
 
 def sigma2_13v() -> ConstructionResult:
@@ -618,140 +598,101 @@ def sigma2_13v() -> ConstructionResult:
     return build_sum_high(2, 0)
 
 
-# ---------------------------------------------------------------------------
-# Dispatcher
-# ---------------------------------------------------------------------------
-
-VARIANTS = ("polygon", "sum-high", "sum-low", "sigma2-10v", "sigma2-13v", "constant")
-
-
-@dataclass(frozen=True)
-class ConstructionRecipe:
-    variant: str
-    genus: int
-    degree: int
-    expected_vertices: int
-
-
-class ConstructionBundle(NamedTuple):
-    surface: TriangulatedSurface
-    vertex_map: SimplicialVertexMap
-    report: DegreeReport
-    recipe: ConstructionRecipe
-
-
-def _applicability(variant: str, g: int, d: int) -> str | None:
-    """None when (g, d) suits the variant, else the violated rule as text."""
-    mag = abs(d)
-    if variant == "polygon":
-        if mag < 2 * g - 1:
-            return f"polygon requires |d| >= 2g-1 = {2 * g - 1}"
-    elif variant == "sum-high":
-        if g < 2 or not g <= mag <= 2 * g - 2:
-            return "sum-high requires g >= 2 and g <= |d| <= 2g-2"
-    elif variant == "sum-low":
-        if g < 2 or not 1 <= mag <= g - 1:
-            return "sum-low requires g >= 2 and 1 <= |d| <= g-1"
-    elif variant == "sigma2-10v":
-        if g != 2 or mag != 1:
-            return "sigma2-10v requires g = 2 and |d| = 1"
-    elif variant == "sigma2-13v":
-        if g != 2 or mag != 2:
-            return "sigma2-13v requires g = 2 and |d| = 2"
-    elif variant == "constant":
-        if d != 0:
-            return "constant requires d = 0"
-    else:
-        return f"unknown variant {variant!r}; expected one of {', '.join(VARIANTS)}"
-    return None
-
-
-def _constant_domain(g: int) -> TriangulatedSurface:
-    """The smallest genus-g surface this module can emit."""
+def _build_constant(g: int) -> ConstructionResult:
+    """The constant map to v1 from the smallest genus-g surface this module emits."""
     if g == 1:
-        return torus7()
-    if g == 2:
-        return sigma2_10v().surface
-    return build_sum_low(g, g - 1).surface
+        domain = torus7()
+    elif g == 2:
+        domain = sigma2_10v().surface
+    else:
+        domain = build_sum_low(g, g - 1).surface
+    return _certify(domain, {v: "v1" for v in domain.vertices}, recipe_for(g, 0, "constant"))
+
+
+# ---------------------------------------------------------------------------
+# The variant table
+# ---------------------------------------------------------------------------
+
+
+class _Variant(NamedTuple):
+    rule: str  # the applicability rule as VariantError states it
+    applies: Callable[[int, int], bool]  # (g, |d|)
+    vertices: Callable[[int, int], int]  # (g, |d|) -> vertex count of the domain
+    build: Callable[[int, int], ConstructionResult]  # (g, d) -> result certified at d or at |d|
+
+
+_VARIANTS: dict[str, _Variant] = {
+    "polygon": _Variant(
+        "polygon requires |d| >= 2g-1 = {two_g_minus_1}",
+        lambda g, m: m >= 2 * g - 1,
+        lambda g, m: 7 * m + 2 - 2 * g,
+        build_polygon,  # handles the sign itself
+    ),
+    "sum-high": _Variant(
+        "sum-high requires g >= 2 and g <= |d| <= 2g-2",
+        lambda g, m: g >= 2 and g <= m <= 2 * g - 2,
+        lambda g, m: 6 * m + 1,
+        lambda g, d: build_sum_high(g, abs(d) - g),
+    ),
+    "sum-low": _Variant(
+        "sum-low requires g >= 2 and 1 <= |d| <= g-1",
+        lambda g, m: g >= 2 and 1 <= m <= g - 1,
+        lambda g, m: 6 * g - 2 * (g - m) + 1,
+        lambda g, d: build_sum_low(g, g - abs(d)),
+    ),
+    "sigma2-10v": _Variant(
+        "sigma2-10v requires g = 2 and |d| = 1",
+        lambda g, m: (g, m) == (2, 1), lambda g, m: 10, lambda g, d: sigma2_10v(),
+    ),
+    # Alias of sum-high at (2, 2); listed after it so the automatic choice names sum-high.
+    "sigma2-13v": _Variant(
+        "sigma2-13v requires g = 2 and |d| = 2",
+        lambda g, m: (g, m) == (2, 2), lambda g, m: 13, lambda g, d: sigma2_13v(),
+    ),
+    # Domains: torus7, sigma2_10v, then sum-low at i = g-1.
+    "constant": _Variant(
+        "constant requires d = 0",
+        lambda g, m: m == 0,
+        lambda g, m: 7 if g == 1 else 10 if g == 2 else 4 * g + 3,
+        lambda g, d: _build_constant(g),
+    ),
+}
+VARIANTS = tuple(_VARIANTS)
 
 
 def recipe_for(g: int, d: int, variant: str | None = None) -> ConstructionRecipe:
-    """Resolve the variant (smallest vertex count wins) and its formula value."""
+    """The variant for (g, d) and the vertex count its formula promises.
+
+    With variant None, the applicable variant with the fewest vertices wins;
+    ties go to the earlier table entry.  Raises VariantError when g < 1 or
+    the named variant is unknown or its rule excludes (g, d).
+    """
     if g < 1:
         raise VariantError(f"genus must be >= 1, got {g}")
     mag = abs(d)
     if variant is None:
-        if d == 0:
-            variant = "constant"
-        elif g == 2 and mag == 1:
-            variant = "sigma2-10v"
-        elif mag >= 2 * g - 1:
-            variant = "polygon"
-        elif mag >= g:
-            variant = "sum-high"
-        else:
-            variant = "sum-low"
-    problem = _applicability(variant, g, d)
-    if problem is not None:
-        raise VariantError(f"variant {variant!r} is not applicable to (g={g}, d={d}): {problem}")
-
-    if variant == "polygon":
-        expected = 7 * mag + 2 - 2 * g
-    elif variant == "sum-high":
-        expected = 6 * mag + 1
-    elif variant == "sum-low":
-        expected = 6 * g - 2 * (g - mag) + 1
-    elif variant == "sigma2-10v":
-        expected = 10
-    elif variant == "sigma2-13v":
-        expected = 13
-    else:  # constant
-        expected = len(_constant_domain(g).vertices)
-    return ConstructionRecipe(variant=variant, genus=g, degree=d, expected_vertices=expected)
+        applicable = [name for name, v in _VARIANTS.items() if v.applies(g, mag)]
+        variant = min(applicable, key=lambda name: _VARIANTS[name].vertices(g, mag))
+    entry = _VARIANTS.get(variant)
+    if entry is None:
+        problem = f"unknown variant {variant!r}; expected one of {', '.join(VARIANTS)}"
+    elif not entry.applies(g, mag):
+        problem = entry.rule.format(two_g_minus_1=2 * g - 1)
+    else:
+        return ConstructionRecipe(variant=variant, genus=g, degree=d, expected_vertices=entry.vertices(g, mag))
+    raise VariantError(f"variant {variant!r} is not applicable to (g={g}, d={d}): {problem}")
 
 
-def construct(g: int, d: int, variant: str | None = None) -> ConstructionBundle:
-    """Build the surface/map pair for (g, d) using the cheapest applicable variant.
+def construct(g: int, d: int, variant: str | None = None) -> ConstructionResult:
+    """Build the surface/map pair for (g, d) with the variant recipe_for picks.
 
-    Negative degrees are produced from the positive build by reversing the
-    domain reference and re-certifying.
+    Every variant but polygon builds at |d|; for negative d its domain
+    reference is reversed and the result re-certified against the recipe.
     """
     recipe = recipe_for(g, d, variant)
-    mag = abs(d)
-    if recipe.variant == "polygon":
-        result = build_polygon(g, d)  # handles the sign itself
-    elif recipe.variant == "sum-high":
-        result = build_sum_high(g, mag - g)
-    elif recipe.variant == "sum-low":
-        result = build_sum_low(g, g - mag)
-    elif recipe.variant == "sigma2-10v":
-        result = sigma2_10v()
-    elif recipe.variant == "sigma2-13v":
-        result = sigma2_13v()
-    else:
-        domain = _constant_domain(g)
-        from .maps import constant_map  # local import keeps module top uncluttered
-
-        vertex_map = constant_map(domain, torus7(), "v1")
-        report = _certify(
-            domain,
-            vertex_map,
-            expect_genus=g,
-            expect_degree=0,
-            expect_vertices=recipe.expected_vertices,
-        )
-        result = ConstructionResult(domain, vertex_map, report)
-
-    if d < 0 and recipe.variant != "polygon":
-        flipped = reverse_orientation(result.surface)
-        vertex_map = SimplicialVertexMap.build(flipped, result.vertex_map.codomain, result.vertex_map.assignment)
-        report = degree(vertex_map)
-        if report.degree != d:
-            raise CertificationError(f"reversal produced degree {report.degree}, expected {d}")
-        result = ConstructionResult(flipped, vertex_map, report)
-
-    if len(result.surface.vertices) != recipe.expected_vertices:
-        raise CertificationError(
-            f"recipe promised {recipe.expected_vertices} vertices, built {len(result.surface.vertices)}"
-        )
-    return ConstructionBundle(result.surface, result.vertex_map, result.report, recipe)
+    result = _VARIANTS[recipe.variant].build(g, d)
+    if result.recipe == recipe:
+        return result
+    # Built at |d|, or as sum-high for the sigma2-13v alias.
+    surface = reverse_orientation(result.surface) if d < 0 else result.surface
+    return _certify(surface, result.vertex_map.assignment, recipe)

@@ -76,10 +76,18 @@ def test_caps_parse_forms():
     assert EnumerationCaps.parse(":500") == EnumerationCaps(10, 10, 500)
 
 
-@pytest.mark.parametrize("bad", ["", "x", "12x", "axb", "12x14:many", "1:2:3"])
+@pytest.mark.parametrize("bad", ["", "x", "12x", "axb", "12x14:many", "1:2:3", ":0", ":-5"])
 def test_caps_parse_rejects(bad):
     with pytest.raises(ValueError):
         EnumerationCaps.parse(bad)
+
+
+def test_caps_reject_budgets_below_one():
+    # The backends would read a negative budget differently (the compiled
+    # kernel as "no budget", the Python search as "emit nothing"), and a zero
+    # budget would hand back its resume token unchanged.
+    with pytest.raises(ValueError):
+        EnumerationCaps(max_maps=-5)
 
 
 def test_caps_default_reads_environment(monkeypatch):

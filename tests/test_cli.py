@@ -165,6 +165,15 @@ def test_spectrum_bad_caps_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("caps", [":0", ":-5"])
+def test_spectrum_budget_below_one_exits_2(tmp_path, capsys, caps):
+    p = write_torus(tmp_path)
+    code, out, err = run_cli(capsys, "spectrum", str(p), str(p), "--caps", caps)
+    assert code == 2
+    assert out == ""
+    assert "max_maps" in err
+
+
 def test_bounds_doc(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--g1", "3", "--g2", "2")
     assert code == 0

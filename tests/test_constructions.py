@@ -31,6 +31,7 @@ from surfacemaps import (
     torus7,
     validate_closed_surface,
 )
+from surfacemaps import constructions
 from surfacemaps.constructions import QuadPatchSlots, quad_patch
 
 
@@ -258,7 +259,30 @@ def test_tower_degrees_match_oracle():
         assert bundle.report.degree == expected
 
 
+# recipe_for(g, d) with no variant named, for g = 1..8 and |d| = 0..16,
+# frozen from the if-chain dispatcher the variant table replaced.  Entries
+# are <variant code><expected vertices>; d and -d resolve alike.
+_VARIANT_CODES = {"C": "constant", "P": "polygon", "H": "sum-high", "L": "sum-low", "T": "sigma2-10v"}
+_FROZEN_RECIPES = {
+    1: "C7 P7 P14 P21 P28 P35 P42 P49 P56 P63 P70 P77 P84 P91 P98 P105 P112",
+    2: "C10 T10 H13 P19 P26 P33 P40 P47 P54 P61 P68 P75 P82 P89 P96 P103 P110",
+    3: "C15 L15 L17 H19 H25 P31 P38 P45 P52 P59 P66 P73 P80 P87 P94 P101 P108",
+    4: "C19 L19 L21 L23 H25 H31 H37 P43 P50 P57 P64 P71 P78 P85 P92 P99 P106",
+    5: "C23 L23 L25 L27 L29 H31 H37 H43 H49 P55 P62 P69 P76 P83 P90 P97 P104",
+    6: "C27 L27 L29 L31 L33 L35 H37 H43 H49 H55 H61 P67 P74 P81 P88 P95 P102",
+    7: "C31 L31 L33 L35 L37 L39 L41 H43 H49 H55 H61 H67 H73 P79 P86 P93 P100",
+    8: "C35 L35 L37 L39 L41 L43 L45 L47 H49 H55 H61 H67 H73 H79 H85 P91 P98",
+}
+
+
 def test_recipe_dispatch_table():
+    for g, row in _FROZEN_RECIPES.items():
+        entries = row.split()
+        for d in range(-16, 17):
+            entry = entries[abs(d)]
+            recipe = recipe_for(g, d)
+            assert (recipe.variant, recipe.expected_vertices) == (_VARIANT_CODES[entry[0]], int(entry[1:])), (g, d)
+            assert (recipe.genus, recipe.degree) == (g, d)
     assert recipe_for(1, 0).variant == "constant"
     assert recipe_for(2, 1).variant == "sigma2-10v"
     assert recipe_for(2, -1).variant == "sigma2-10v"
@@ -280,6 +304,14 @@ def test_construct_covers_negatives_and_zero(g, d):
     assert genus(bundle.surface) == g
     assert bundle.report.degree == d
     assert f_vector(bundle.surface).vertices == bundle.recipe.expected_vertices
+
+
+def test_constant_recipe_counts_without_building(monkeypatch):
+    def refuse(g, i):
+        raise AssertionError("recipe_for built a sum-low tower")
+
+    monkeypatch.setattr(constructions, "build_sum_low", refuse)
+    assert recipe_for(4, 0).expected_vertices == 19
 
 
 def test_construct_certifies_against_recipe():
