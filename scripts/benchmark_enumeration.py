@@ -12,9 +12,12 @@ Two kinds of rows:
   enumerate  full enumerate_simplicial_maps() call, map objects included
   spectrum   degree_spectrum() call, lean vector-level degree tally
 
-The compiled kernel accelerates the backtracking search itself; result
-materialization and the degree tally are shared Python code, so speedups
-are most visible on searches whose tree is large relative to the output.
+The compiled kernel accelerates the backtracking search itself.  Both
+backends return index vectors, and the Python code they share does the
+rest: building the map objects (one bulk pass that checks the search
+orders once per sweep and each vector's length and index range) and the
+degree tally.  Speedups are therefore most visible on searches whose tree
+is large relative to the output.
 """
 
 from __future__ import annotations

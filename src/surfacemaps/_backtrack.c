@@ -16,6 +16,11 @@
 #include <limits.h>
 #include <stdlib.h>
 
+/* Version of the search() argument list, exported as INTERFACE.  Bump it
+ * whenever those arguments change, together with KERNEL_INTERFACE in
+ * analysis.py, which refuses an extension built for another version. */
+#define KERNEL_INTERFACE 1
+
 /* Let Ctrl-C interrupt a long search: poll for signals every 2**20 nodes. */
 #define SIGNAL_POLL_MASK ((1UL << 20) - 1)
 
@@ -290,5 +295,8 @@ static struct PyModuleDef backtrack_module = {
 PyMODINIT_FUNC
 PyInit__backtrack(void)
 {
-    return PyModule_Create(&backtrack_module);
+    PyObject *module = PyModule_Create(&backtrack_module);
+    if (module != NULL && PyModule_AddIntConstant(module, "INTERFACE", KERNEL_INTERFACE) < 0)
+        Py_CLEAR(module);
+    return module;
 }

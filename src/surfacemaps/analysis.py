@@ -8,28 +8,54 @@ only while every fully-assigned domain edge lands on a codomain edge or a
 single vertex, and every fully-assigned facet lands on a facet, an edge or
 a vertex.  Two interchangeable backends run the same search: a compiled C
 kernel (surfacemaps._backtrack) and a pure-Python fallback; they emit
-identical sequences and tests compare them directly.
+identical sequences and tests compare them directly.  The kernel is used
+only when its INTERFACE number matches KERNEL_INTERFACE, so an extension
+left over from an older build of _backtrack.c counts as not built.
+
+Both backends return plain index vectors (codomain index per DFS depth).
+Only the vectors a caller returns become SimplicialVertexMap values, and
+they are built in bulk by _vectors_to_maps: the search orders are checked
+once per sweep and each vector only for its length and index range, which
+gives the same totality guarantee as SimplicialVertexMap.build.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from operator import itemgetter
+from typing import Any, Callable, Mapping, Sequence
 
 from .maps import (
     DegreeInconsistencyError,
+    MapDefinitionError,
     SimplicialVertexMap,
     degree,
-    is_simplicial,
     validate_simplicial,
 )
 from .surface import TriangulatedSurface, Vertex, orient, require_valid
 
+# The argument list of _backtrack.search that this module passes; must equal
+# INTERFACE in _backtrack.c, and both change whenever those arguments do.
+KERNEL_INTERFACE = 1
+
+
+def _load_kernel(module: Any) -> tuple[Any, str]:
+    """(module, "") if module is a kernel built for KERNEL_INTERFACE, else (None, why not)."""
+    if module is None:
+        return None, "surfacemaps._backtrack is not built"
+    found = getattr(module, "INTERFACE", None)
+    if found != KERNEL_INTERFACE:
+        where = getattr(module, "__file__", None) or module.__name__
+        return None, f"{where} is stale: kernel interface {found!r}, expected {KERNEL_INTERFACE}"
+    return module, ""
+
+
 try:  # compiled kernel is optional; the build marks it best-effort
-    from . import _backtrack as _kernel  # type: ignore[attr-defined]
+    from . import _backtrack  # type: ignore[attr-defined]
 except ImportError:  # pragma: no cover - depends on build environment
-    _kernel = None
+    _backtrack = None
+_kernel, _kernel_problem = _load_kernel(_backtrack)
 
 ENV_CAPS_VAR = "SURFACE_DEGREE_CAPS"
 
@@ -257,7 +283,10 @@ def _run_backend(
         return _python_search(problem, bijective=bijective, max_maps=max_maps, start=start)
     if backend == "compiled":
         if _kernel is None:
-            raise RuntimeError("compiled backend requested but surfacemaps._backtrack is not built")
+            raise RuntimeError(
+                f"compiled backend requested but unavailable ({_kernel_problem}); "
+                "build it with `python setup.py build_ext --inplace --force`"
+            )
         n = len(problem.dom_order)
         m = len(problem.cod_order)
         pair_off, pair_pos = [0], []
@@ -292,11 +321,39 @@ def _run_backend(
     raise ValueError(f"unknown backend {backend!r}; expected 'auto', 'compiled' or 'python'")
 
 
-def _vector_to_map(problem: _SearchProblem, vector: tuple[int, ...]) -> SimplicialVertexMap:
-    assignment = {
-        problem.dom_order[t]: problem.cod_order[c] for t, c in enumerate(vector)
-    }
-    return SimplicialVertexMap.build(problem.domain, problem.codomain, assignment)
+def _vectors_to_maps(
+    problem: _SearchProblem, vectors: Sequence[tuple[int, ...]]
+) -> list[SimplicialVertexMap]:
+    """Map values for search vectors, with build()'s totality guarantee checked in bulk.
+
+    Once per call: dom_order must be a permutation of the domain's vertices
+    and cod_order the codomain's vertices in order.  Once per vector: n
+    entries, each in [0, m).  Together these make every map total into the
+    codomain, which is all build() checks.  Keys follow domain.vertices, as
+    build() stores them.  Anything else raises MapDefinitionError.
+    """
+    domain, codomain = problem.domain, problem.codomain
+    n, m = len(problem.dom_order), len(problem.cod_order)
+    if sorted(problem.dom_order) != sorted(domain.vertices) or len(set(problem.dom_order)) != n:
+        raise MapDefinitionError("search order is not a permutation of the domain's vertices")
+    if problem.cod_order != tuple(codomain.vertices):
+        raise MapDefinitionError("image order is not the codomain's vertex order")
+    if vectors and (
+        set(map(len, vectors)) != {n} or min(map(min, vectors)) < 0 or max(map(max, vectors)) >= m
+    ):
+        bad = next(v for v in vectors if len(v) != n or not all(0 <= c < m for c in v))
+        raise MapDefinitionError(
+            f"search vector {bad!r} is not a total map: it needs {n} entries in [0, {m})"
+        )
+    depth = {v: t for t, v in enumerate(problem.dom_order)}
+    # Valid surfaces have at least four vertices, so the getter returns tuples.
+    by_vertex = itemgetter(*(depth[v] for v in domain.vertices))
+    label = problem.cod_order.__getitem__
+    keys = domain.vertices
+    return [
+        SimplicialVertexMap(domain, codomain, dict(zip(keys, map(label, by_vertex(v)))))
+        for v in vectors
+    ]
 
 
 def _resume_vector(problem: _SearchProblem, token: Mapping[str, Any]) -> tuple[int, ...]:
@@ -344,8 +401,8 @@ def _sweep(
     if not caps.bijective_only and (n > caps.max_domain_vertices or m > caps.max_codomain_vertices):
         raise SearchCapExceeded(
             f"full enumeration refused for {n}x{m} vertices (caps "
-            f"{caps.max_domain_vertices}x{caps.max_codomain_vertices}); raise the caps via "
-            f"{ENV_CAPS_VAR} or use bijective_only",
+            f"{caps.max_domain_vertices}x{caps.max_codomain_vertices}); raise the caps with "
+            f"--caps on the command line, the caps argument, or {ENV_CAPS_VAR}",
             reason="vertex-guard",
         )
     start = None if resume_token is None else _resume_vector(problem, resume_token)
@@ -372,7 +429,7 @@ def enumerate_simplicial_maps(
     that continues the enumeration right after the last emitted map.
     """
     problem, caps, vectors, truncated, token = _sweep(domain, codomain, caps, backend, resume_token)
-    maps = [_vector_to_map(problem, v) for v in vectors]
+    maps = _vectors_to_maps(problem, vectors)
     if truncated:
         raise SearchCapExceeded(
             f"map budget of {caps.max_maps} reached with candidates remaining",
@@ -386,19 +443,50 @@ def enumerate_simplicial_maps(
 def automorphisms(surface: TriangulatedSurface) -> list[SimplicialVertexMap]:
     """All bijective simplicial self-maps whose inverse is also simplicial.
 
-    Uses the bijective search (exempt from the vertex guard) and then
-    checks each inverse explicitly rather than assuming it.
+    Runs the bijective search (exempt from the vertex guard), then checks
+    each inverse explicitly rather than assuming it: in index space, with
+    the tables of _inverse_check, before any map value is built.
     """
     n = len(surface.vertices)
     caps = EnumerationCaps(
         max_domain_vertices=n, max_codomain_vertices=n, max_maps=None, bijective_only=True
     )
-    out = []
-    for f in enumerate_simplicial_maps(surface, surface, caps):
-        inverse = {w: v for v, w in f.assignment.items()}
-        if is_simplicial(SimplicialVertexMap.build(surface, surface, inverse)):
-            out.append(f)
-    return out
+    problem, _, vectors, _, _ = _sweep(surface, surface, caps, "auto")
+    inverse_is_simplicial = _inverse_check(problem)
+    return _vectors_to_maps(problem, [v for v in vectors if inverse_is_simplicial(v)])
+
+
+def _inverse_check(problem: _SearchProblem) -> Callable[[tuple[int, ...]], bool]:
+    """Test whether a bijective search vector's inverse is simplicial.
+
+    validate_simplicial on the inverse map, in index space: every codomain
+    facet must pull back to a domain facet, edge or vertex.  The tables
+    (codomain facets as image indices, domain facets and edges as DFS
+    positions) are built once here.  A vector that is not a bijection onto
+    range(m) has no inverse and raises MapDefinitionError.
+    """
+    depth = {v: t for t, v in enumerate(problem.dom_order)}
+    index = {v: i for i, v in enumerate(problem.cod_order)}
+    cod_facets = tuple(tuple(index[v] for v in f) for f in problem.codomain.facets)
+    dom_facets = frozenset(tuple(sorted(depth[v] for v in f)) for f in problem.domain.facets)
+    dom_edges = frozenset(tuple(sorted((depth[a], depth[b]))) for a, b in problem.domain.edges())
+    everything = list(range(len(problem.cod_order)))
+
+    def inverse_is_simplicial(vector: tuple[int, ...]) -> bool:
+        if sorted(vector) != everything:
+            raise MapDefinitionError(f"search vector {vector!r} is not a bijection; it has no inverse")
+        inverse = [0] * len(vector)
+        for t, c in enumerate(vector):
+            inverse[c] = t
+        for a, b, c in cod_facets:
+            image = tuple(sorted({inverse[a], inverse[b], inverse[c]}))
+            if len(image) == 3 and image not in dom_facets:
+                return False
+            if len(image) == 2 and image not in dom_edges:
+                return False
+        return True
+
+    return inverse_is_simplicial
 
 
 def cycle_notation(f: SimplicialVertexMap) -> str:
@@ -511,9 +599,9 @@ def degree_spectrum(
         if d not in witnesses_vec:
             witnesses_vec[d] = vec
 
+    degrees = sorted(witnesses_vec)
     witnesses: dict[int, SimplicialVertexMap] = {}
-    for d in sorted(witnesses_vec):
-        w = _vector_to_map(problem, witnesses_vec[d])
+    for d, w in zip(degrees, _vectors_to_maps(problem, [witnesses_vec[d] for d in degrees])):
         check = validate_simplicial(w)
         if not check.ok:
             raise DegreeInconsistencyError(f"witness for degree {d} fails simpliciality re-check")

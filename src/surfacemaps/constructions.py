@@ -21,7 +21,7 @@ step renames them onto the labels of the facet they are glued to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple
 
@@ -688,11 +688,17 @@ def construct(g: int, d: int, variant: str | None = None) -> ConstructionResult:
 
     Every variant but polygon builds at |d|; for negative d its domain
     reference is reversed and the result re-certified against the recipe.
+    For positive d an alias's result (sigma2-13v is built as sum-high) is
+    returned under the requested recipe without a second certification.
     """
     recipe = recipe_for(g, d, variant)
     result = _VARIANTS[recipe.variant].build(g, d)
     if result.recipe == recipe:
         return result
-    # Built at |d|, or as sum-high for the sigma2-13v alias.
+    if d > 0 and replace(result.recipe, variant=recipe.variant) == recipe:
+        # An alias (sigma2-13v built as sum-high): same genus, degree and
+        # vertex count, so certifying again would check nothing new.
+        return result._replace(recipe=recipe)
+    # Built at |d| (and possibly under an alias's name): re-certify reversed.
     surface = reverse_orientation(result.surface) if d < 0 else result.surface
     return _certify(surface, result.vertex_map.assignment, recipe)

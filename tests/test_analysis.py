@@ -3,7 +3,13 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import os
+import shutil
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import pytest
 
@@ -32,11 +38,13 @@ from surfacemaps import (
     vertex_lower_bound,
 )
 from surfacemaps import analysis
-from surfacemaps.analysis import ENV_CAPS_VAR
+from surfacemaps.analysis import ENV_CAPS_VAR, KERNEL_INTERFACE
+from surfacemaps.maps import MapDefinitionError
 
 TORUS = torus7()
 TETRA = tetrahedron()
 SIGMA2 = sigma2_10v().surface
+RELABELLED_TORUS = TORUS.relabel(dict(zip(TORUS.vertices, ("v4", "v7", "v1", "v6", "v2", "v5", "v3"))))
 
 
 def require_compiled() -> None:
@@ -238,6 +246,108 @@ def test_kernel_rejects_malformed_tables(override):
     require_compiled()
     with pytest.raises(ValueError):
         analysis._kernel.search(**dict(KERNEL_ARGS, **override))
+
+
+# ------------------------------------------------------ kernel interface
+
+
+@pytest.mark.parametrize("interface", [None, KERNEL_INTERFACE + 1, str(KERNEL_INTERFACE)])
+def test_kernel_with_another_interface_is_rejected(interface):
+    fake = types.ModuleType("surfacemaps._backtrack")
+    fake.__file__ = "/elsewhere/_backtrack.cpython-311-x86_64-linux-gnu.so"
+    if interface is not None:
+        fake.INTERFACE = interface
+    kernel, problem = analysis._load_kernel(fake)
+    assert kernel is None
+    assert fake.__file__ in problem and "stale" in problem
+    fake.INTERFACE = KERNEL_INTERFACE
+    assert analysis._load_kernel(fake) == (fake, "")
+    assert analysis._load_kernel(None)[0] is None
+
+
+def test_built_kernel_has_this_interface():
+    require_compiled()
+    assert analysis._kernel.INTERFACE == KERNEL_INTERFACE
+
+
+def test_stale_kernel_in_package_falls_back_to_python(tmp_path):
+    # A copy of the package whose _backtrack has no INTERFACE, as an extension
+    # built from an older _backtrack.c would: it must count as not built.
+    pkg = tmp_path / "surfacemaps"
+    shutil.copytree(
+        Path(analysis.__file__).parent, pkg, ignore=shutil.ignore_patterns("*.so", "*.pyd", "__pycache__")
+    )
+    stale = pkg / "_backtrack.py"
+    stale.write_text("def search(*args, **kwargs):\n    raise AssertionError('stale kernel called')\n")
+    script = (
+        "from surfacemaps import analysis, torus7\n"
+        "print(analysis.available_backends())\n"
+        "print(len(analysis.enumerate_simplicial_maps(torus7(), torus7())))\n"
+        "try:\n"
+        "    analysis.enumerate_simplicial_maps(torus7(), torus7(), backend='compiled')\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(tmp_path))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120, check=True
+    ).stdout.splitlines()
+    assert out[0] == "('python',)"
+    assert out[1] == str(fx.TORUS7_SELF_MAP_COUNT)
+    assert str(stale) in out[2] and "python setup.py build_ext --inplace --force" in out[2]
+
+
+# ------------------------------------------------------ bulk map building
+
+
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+@pytest.mark.parametrize(
+    "dom, cod",
+    [(TETRA, TORUS), (RELABELLED_TORUS, TORUS), (SIGMA2, TORUS)],
+    ids=["tetra-torus7", "relabelled-torus7", "sigma2_10v-torus7"],
+)
+def test_vectors_to_maps_matches_build(dom, cod, backend):
+    if backend == "compiled":
+        require_compiled()
+    problem = analysis._prepare(dom, cod)
+    # torus7 and the tetrahedron are vertex-transitive, so their search order
+    # is label order; sigma2_10v's is not, which exercises the reordering.
+    assert (problem.dom_order != dom.vertices) == (dom is SIGMA2)
+    vectors, _ = analysis._run_backend(problem, backend, bijective=False, max_maps=3000, start=None)
+    maps = analysis._vectors_to_maps(problem, vectors)
+    assert len(maps) == len(vectors) > 0
+    for vector, f in zip(vectors, maps):
+        assignment = {problem.dom_order[t]: problem.cod_order[c] for t, c in enumerate(vector)}
+        built = SimplicialVertexMap.build(dom, cod, assignment)
+        assert f == built
+        assert list(f.assignment) == list(built.assignment) == list(dom.vertices)
+
+
+@pytest.mark.parametrize(
+    "vector",
+    [(0, 1, 2), (0, 1, 2, 3, 4), (0, 1, -1, 3), (0, 1, 7, 3)],
+    ids=["short", "long", "negative", "past-m"],
+)
+def test_vectors_to_maps_rejects_non_total_vectors(vector):
+    problem = analysis._prepare(TETRA, TORUS)
+    with pytest.raises(MapDefinitionError):
+        analysis._vectors_to_maps(problem, [(0, 1, 2, 3), vector])
+
+
+def test_inverse_check_matches_validate_simplicial_on_every_bijection():
+    problem = analysis._prepare(TORUS, TORUS)
+    inverse_is_simplicial = analysis._inverse_check(problem)
+    kept = 0
+    for vector in itertools.permutations(range(7)):
+        forward = {problem.dom_order[t]: problem.cod_order[c] for t, c in enumerate(vector)}
+        inverse = {w: v for v, w in forward.items()}
+        expected = is_simplicial(SimplicialVertexMap.build(TORUS, TORUS, inverse))
+        assert inverse_is_simplicial(vector) == expected, vector
+        kept += expected
+    assert kept == 42
+    for not_bijective in [(0, 0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5, 7), (0, 1, 2, 3, 4, 5)]:
+        with pytest.raises(MapDefinitionError):
+            inverse_is_simplicial(not_bijective)
 
 
 def test_budget_and_resume_chunking_reassembles_everything():

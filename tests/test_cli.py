@@ -156,7 +156,9 @@ def test_spectrum_vertex_guard_exits_2(tmp_path, capsys):
     p = write_torus(tmp_path)
     code, _, err = run_cli(capsys, "spectrum", str(big), str(p))
     assert code == 2
-    assert "caps" in err
+    # The advice names what a CLI user can change; bijective_only is not settable here.
+    assert "--caps" in err and "SURFACE_DEGREE_CAPS" in err
+    assert "bijective_only" not in err
 
 
 def test_spectrum_bad_caps_exits_2(tmp_path, capsys):

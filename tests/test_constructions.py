@@ -314,6 +314,28 @@ def test_constant_recipe_counts_without_building(monkeypatch):
     assert recipe_for(4, 0).expected_vertices == 19
 
 
+@pytest.mark.parametrize(
+    "d, variant, certified",
+    [(2, None, 2), (2, "sigma2-13v", 2), (-2, None, 3), (-2, "sigma2-13v", 3)],
+)
+def test_construct_certifies_the_13_vertex_surface_once(monkeypatch, d, variant, certified):
+    # polygon(1, 1) and sum-high(2, 0) are certified as they are built; only a
+    # reversed surface (d < 0) is new and certified a third time.
+    plain = construct(2, d)
+    calls = []
+    real = constructions._certify
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(constructions, "_certify", counting)
+    result = construct(2, d, variant=variant)
+    assert len(calls) == certified
+    assert result.recipe == recipe_for(2, d, variant)
+    assert result._replace(recipe=plain.recipe) == plain
+
+
 def test_construct_certifies_against_recipe():
     bundle = construct(3, 2)
     assert bundle.recipe.variant == "sum-low"
