@@ -19,7 +19,7 @@
 /* Version of the search() argument list, exported as INTERFACE.  Bump it
  * whenever those arguments change, together with KERNEL_INTERFACE in
  * analysis.py, which refuses an extension built for another version. */
-#define KERNEL_INTERFACE 1
+#define KERNEL_INTERFACE 2
 
 /* Let Ctrl-C interrupt a long search: poll for signals every 2**20 nodes. */
 #define SIGNAL_POLL_MASK ((1UL << 20) - 1)
@@ -140,8 +140,8 @@ vector_tuple(const int *assign, int n)
  * prefix, which restricts depth t to candidates >= start[t].  Returns 0,
  * or -1 with an exception set. */
 static int
-run_search(const Tables *tb, int bijective, long max_maps, const int *start, int *assign,
-           int *next, unsigned char *on, unsigned char *used, PyObject *out, int *truncated)
+run_search(const Tables *tb, long max_maps, const int *start, int *assign, int *next,
+           unsigned char *on, PyObject *out, int *truncated)
 {
     int n = tb->n, m = tb->m, t = 0;
     unsigned long nodes = 0;
@@ -164,14 +164,13 @@ run_search(const Tables *tb, int bijective, long max_maps, const int *start, int
         }
         else {
             int c = next[t];
-            while (c < m && ((bijective && used[c]) || !admissible(tb, assign, t, c)))
+            while (c < m && !admissible(tb, assign, t, c))
                 c++;
             if (c < m) {
                 if ((++nodes & SIGNAL_POLL_MASK) == 0 && PyErr_CheckSignals() < 0)
                     return -1;
                 assign[t] = c;
                 next[t] = c + 1;
-                used[c] = 1;
                 on[t + 1] = on[t] && c == start[t];
                 t++;
                 if (t < n)
@@ -181,14 +180,12 @@ run_search(const Tables *tb, int bijective, long max_maps, const int *start, int
         }
         /* leaf done or depth exhausted: back up one level */
         t--;
-        if (t >= 0)
-            used[assign[t]] = 0;
     }
     return 0;
 }
 
 PyDoc_STRVAR(search_doc,
-"search(n, m, pair_off, pair_pos, tri_off, tri_pos, edge, facet, bijective, max_maps, start)\n\n"
+"search(n, m, pair_off, pair_pos, tri_off, tri_pos, edge, facet, max_maps, start)\n\n"
 "Run the search; arguments and return match the Python reference.\n\n"
 "Returns (vectors, truncated) where vectors is a list of int tuples in\n"
 "lexicographic emission order and truncated is True when max_maps maps\n"
@@ -200,20 +197,20 @@ static PyObject *
 search(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"n", "m", "pair_off", "pair_pos", "tri_off", "tri_pos", "edge",
-                             "facet", "bijective", "max_maps", "start", NULL};
+                             "facet", "max_maps", "start", NULL};
     Tables tb = {0};
     PyObject *pair_off, *pair_pos, *tri_off, *tri_pos, *start_obj, *out = NULL;
     const char *edge, *facet;
     Py_ssize_t edge_len, facet_len;
-    int bijective, truncated = 0;
+    int truncated = 0;
     long max_maps;
     IntArray start = {0, NULL};
     int *assign = NULL, *next = NULL;
-    unsigned char *on = NULL, *used = NULL;
+    unsigned char *on = NULL;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiOOOOy#y#plO:search", kwlist, &tb.n, &tb.m,
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiOOOOy#y#lO:search", kwlist, &tb.n, &tb.m,
                                      &pair_off, &pair_pos, &tri_off, &tri_pos, &edge, &edge_len,
-                                     &facet, &facet_len, &bijective, &max_maps, &start_obj))
+                                     &facet, &facet_len, &max_maps, &start_obj))
         return NULL;
     if (tb.n < 0 || tb.m < 0 || tb.m > 2000000) {
         PyErr_SetString(PyExc_ValueError, "n and m must be non-negative and m at most 2000000");
@@ -249,19 +246,15 @@ search(PyObject *self, PyObject *args, PyObject *kwargs)
     out = PyList_New(0);
     if (out == NULL)
         goto done;
-    if (bijective && tb.n != tb.m)
-        goto done;
     assign = PyMem_Calloc((size_t)tb.n + 1, sizeof(int));
     next = PyMem_Calloc((size_t)tb.n + 1, sizeof(int));
     on = PyMem_Calloc((size_t)tb.n + 1, 1);
-    used = PyMem_Calloc((size_t)tb.m + 1, 1);
-    if (assign == NULL || next == NULL || on == NULL || used == NULL) {
+    if (assign == NULL || next == NULL || on == NULL) {
         PyErr_NoMemory();
         Py_CLEAR(out);
         goto done;
     }
-    if (run_search(&tb, bijective, max_maps, start.v, assign, next, on, used, out,
-                   &truncated) < 0)
+    if (run_search(&tb, max_maps, start.v, assign, next, on, out, &truncated) < 0)
         Py_CLEAR(out);
 
 done:
@@ -273,7 +266,6 @@ done:
     PyMem_Free(assign);
     PyMem_Free(next);
     PyMem_Free(on);
-    PyMem_Free(used);
     if (out == NULL)
         return NULL;
     return Py_BuildValue("(NO)", out, truncated ? Py_True : Py_False);

@@ -12,19 +12,24 @@ identical sequences and tests compare them directly.  The kernel is used
 only when its INTERFACE number matches KERNEL_INTERFACE, so an extension
 left over from an older build of _backtrack.c counts as not built.
 
-Both backends return plain index vectors (codomain index per DFS depth).
-Only the vectors a caller returns become SimplicialVertexMap values, and
-they are built in bulk by _vectors_to_maps: the search orders are checked
-once per sweep and each vector only for its length and index range, which
-gives the same totality guarantee as SimplicialVertexMap.build.
+Isomorphisms (bijective_only, and so automorphisms) are not searched
+for: _isomorphism_vectors propagates flags in O(F**2) for F facets and
+emits them in the search's order.  Both paths return plain index vectors
+(codomain index per DFS depth).  Only the vectors a caller returns
+become SimplicialVertexMap values, and they are built in bulk by
+_vectors_to_maps: the search orders are checked once per sweep and each
+vector only for its length and index range, which gives the same
+totality guarantee as SimplicialVertexMap.build.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
+from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .maps import (
     DegreeInconsistencyError,
@@ -37,7 +42,7 @@ from .surface import TriangulatedSurface, Vertex, orient, require_valid
 
 # The argument list of _backtrack.search that this module passes; must equal
 # INTERFACE in _backtrack.c, and both change whenever those arguments do.
-KERNEL_INTERFACE = 1
+KERNEL_INTERFACE = 2
 
 
 def _load_kernel(module: Any) -> tuple[Any, str]:
@@ -87,8 +92,9 @@ class SearchCapExceeded(RuntimeError):
 class EnumerationCaps:
     """Limits for the enumeration; the defaults allow 10x10 full search.
 
-    Beyond the vertex caps only bijective search is allowed, since the raw
-    candidate space grows as |V_codomain| ** |V_domain|.  max_maps bounds
+    The raw candidate space grows as |V_codomain| ** |V_domain|.  Only
+    bijective_only (isomorphisms, found by flag propagation in O(F**2)) is
+    exempt from the vertex caps.  max_maps bounds
     the number of emitted maps per call; None means unlimited, and a budget
     below 1 is rejected because it could never advance a resumed sweep.
     """
@@ -193,7 +199,6 @@ def _prepare(domain: TriangulatedSurface, codomain: TriangulatedSurface) -> _Sea
 def _python_search(
     problem: _SearchProblem,
     *,
-    bijective: bool,
     max_maps: int | None,
     start: tuple[int, ...] | None,
 ) -> tuple[list[tuple[int, ...]], bool]:
@@ -205,8 +210,6 @@ def _python_search(
     """
     n = len(problem.dom_order)
     m = len(problem.cod_order)
-    if bijective and n != m:
-        return [], False
     edge = problem.cod_edge
     facet = problem.cod_facet
     pair_checks = problem.pair_checks
@@ -214,7 +217,6 @@ def _python_search(
 
     out: list[tuple[int, ...]] = []
     assign = [0] * n
-    used = [False] * m
     truncated = False
 
     def admissible(t: int, c: int) -> bool:
@@ -242,17 +244,10 @@ def _python_search(
             return True
         lo = start[t] if (on_prefix and start is not None) else 0
         for c in range(lo, m):
-            if bijective and used[c]:
-                continue
             if not admissible(t, c):
                 continue
             assign[t] = c
-            if bijective:
-                used[c] = True
-            keep_going = dfs(t + 1, on_prefix and start is not None and c == start[t])
-            if bijective:
-                used[c] = False
-            if not keep_going:
+            if not dfs(t + 1, on_prefix and start is not None and c == start[t]):
                 return False
         return True
 
@@ -273,52 +268,90 @@ def _run_backend(
     problem: _SearchProblem,
     backend: str,
     *,
-    bijective: bool,
     max_maps: int | None,
     start: tuple[int, ...] | None,
 ) -> tuple[list[tuple[int, ...]], bool]:
-    if backend == "auto":
-        backend = "compiled" if _kernel is not None else "python"
+    """Run the search on backend "python" or "compiled" (which must be available)."""
     if backend == "python":
-        return _python_search(problem, bijective=bijective, max_maps=max_maps, start=start)
-    if backend == "compiled":
-        if _kernel is None:
-            raise RuntimeError(
-                f"compiled backend requested but unavailable ({_kernel_problem}); "
-                "build it with `python setup.py build_ext --inplace --force`"
-            )
-        n = len(problem.dom_order)
-        m = len(problem.cod_order)
-        pair_off, pair_pos = [0], []
-        for t in range(n):
-            pair_pos.extend(problem.pair_checks[t])
-            pair_off.append(len(pair_pos))
-        tri_off, tri_pos = [0], []
-        for t in range(n):
-            for s1, s2 in problem.triple_checks[t]:
-                tri_pos.extend((s1, s2))
-            tri_off.append(len(tri_pos))
-        edge_flat = bytearray(m * m)
-        for a, b in problem.cod_edge:
-            edge_flat[a * m + b] = 1
-        facet_flat = bytearray(m * m * m)
-        for i, j, k in problem.cod_facet:
-            facet_flat[(i * m + j) * m + k] = 1
-        vectors, truncated = _kernel.search(
-            n,
-            m,
-            pair_off,
-            pair_pos,
-            tri_off,
-            tri_pos,
-            bytes(edge_flat),
-            bytes(facet_flat),
-            bijective,
-            -1 if max_maps is None else max_maps,
-            None if start is None else list(start),
-        )
-        return vectors, truncated
-    raise ValueError(f"unknown backend {backend!r}; expected 'auto', 'compiled' or 'python'")
+        return _python_search(problem, max_maps=max_maps, start=start)
+    n, m = len(problem.dom_order), len(problem.cod_order)
+    pair_pos = [s for checks in problem.pair_checks for s in checks]
+    pair_off = [0, *itertools.accumulate(map(len, problem.pair_checks))]
+    tri_pos = [s for checks in problem.triple_checks for pair in checks for s in pair]
+    tri_off = [0, *itertools.accumulate(2 * len(checks) for checks in problem.triple_checks)]
+    edge_flat = bytearray(m * m)
+    for a, b in problem.cod_edge:
+        edge_flat[a * m + b] = 1
+    facet_flat = bytearray(m * m * m)
+    for i, j, k in problem.cod_facet:
+        facet_flat[(i * m + j) * m + k] = 1
+    return _kernel.search(
+        n, m, pair_off, pair_pos, tri_off, tri_pos, bytes(edge_flat), bytes(facet_flat),
+        -1 if max_maps is None else max_maps, None if start is None else list(start),
+    )
+
+
+def _surface_tables(
+    facets: Iterable[tuple[int, int, int]], n: int
+) -> tuple[list[int], dict[tuple[int, int], int]]:
+    """(degree, apexes) of a closed surface on range(n): degree[x] counts the
+    facets at x, and apexes[x, y] sums the two apexes of the edge xy, so the
+    apex across xy from z is apexes[x, y] - z."""
+    degree, apexes = [0] * n, defaultdict(int)
+    for a, b, c in facets:
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            degree[x] += 1
+            apexes[x, y] += z
+            apexes[y, x] += z
+    return degree, dict(apexes)
+
+
+def _isomorphism_vectors(problem: _SearchProblem) -> list[tuple[int, ...]]:
+    """Every isomorphism from domain to codomain, as sorted DFS-position vectors.
+
+    Each of the 6F ordered codomain facets is tried as the image of the first
+    domain facet; that fixes the image of the apex across each edge in turn,
+    and the domain is connected.  A candidate is dropped once a vertex meets
+    one of another facet degree or gets two images, and kept only when it is
+    injective and its image facets are exactly the codomain's, which makes
+    its inverse simplicial too.  Sorted is the search's emission order.
+    """
+    n = len(problem.dom_order)
+    pos = {v: t for t, v in enumerate(problem.dom_order)}
+    dom_facets = [tuple(pos[v] for v in f) for f in problem.domain.facets]
+    if n != len(problem.cod_order) or len(dom_facets) != len(problem.cod_facet):
+        return []
+    dom_degree, dom_apexes = _surface_tables(dom_facets, n)
+    cod_degree, cod_apexes = _surface_tables(problem.cod_facet, n)
+    # One step (x, y, z, w) per domain edge xy, walking outward from the first
+    # facet: x, y and z have images when it runs, and it sets or checks w's.
+    first = dom_facets[0]
+    p, q, r = first
+    edges, seen, steps = [(p, q, r), (q, r, p), (r, p, q)], {(p, q), (q, r), (r, p)}, []
+    for x, y, z in edges:
+        w = dom_apexes[x, y] - z
+        steps.append((x, y, z, w))
+        for u, v, t in ((x, w, y), (w, y, x)):
+            if (u, v) not in seen and (v, u) not in seen:
+                seen.add((u, v))
+                edges.append((u, v, t))
+    found = []
+    for flag in itertools.chain.from_iterable(map(itertools.permutations, problem.cod_facet)):
+        if [dom_degree[t] for t in first] != [cod_degree[c] for c in flag]:
+            continue
+        image = [-1] * n
+        image[p], image[q], image[r] = flag
+        for x, y, z, w in steps:
+            c = cod_apexes[image[x], image[y]] - image[z]
+            if image[w] < 0 and dom_degree[w] == cod_degree[c]:
+                image[w] = c
+            elif image[w] != c:
+                break
+        else:
+            facets = {tuple(sorted((image[a], image[b], image[c]))) for a, b, c in dom_facets}
+            if len(set(image)) == n and facets == problem.cod_facet:
+                found.append(tuple(image))
+    return sorted(found)
 
 
 def _vectors_to_maps(
@@ -406,9 +439,20 @@ def _sweep(
             reason="vertex-guard",
         )
     start = None if resume_token is None else _resume_vector(problem, resume_token)
-    vectors, truncated = _run_backend(
-        problem, backend, bijective=caps.bijective_only, max_maps=caps.max_maps, start=start
-    )
+    backend = available_backends()[0] if backend == "auto" else backend
+    if backend not in ("compiled", "python"):
+        raise ValueError(f"unknown backend {backend!r}; expected 'auto', 'compiled' or 'python'")
+    if backend not in available_backends():
+        raise RuntimeError(
+            f"compiled backend requested but unavailable ({_kernel_problem}); "
+            "build it with `python setup.py build_ext --inplace --force`"
+        )
+    if caps.bijective_only:  # served with the search's budget and resume semantics
+        vectors = [v for v in _isomorphism_vectors(problem) if start is None or v > start]
+        truncated = caps.max_maps is not None and len(vectors) > caps.max_maps
+        vectors = vectors[: caps.max_maps]
+    else:
+        vectors, truncated = _run_backend(problem, backend, max_maps=caps.max_maps, start=start)
     token = _make_token(problem, vectors[-1]) if truncated else None
     return problem, caps, vectors, truncated, token
 
@@ -443,50 +487,13 @@ def enumerate_simplicial_maps(
 def automorphisms(surface: TriangulatedSurface) -> list[SimplicialVertexMap]:
     """All bijective simplicial self-maps whose inverse is also simplicial.
 
-    Runs the bijective search (exempt from the vertex guard), then checks
-    each inverse explicitly rather than assuming it: in index space, with
-    the tables of _inverse_check, before any map value is built.
+    Computed by flag propagation (_isomorphism_vectors), in O(F**2) for F
+    facets and exempt from the vertex guard; the image facets of each map
+    are checked to be exactly the surface's facets, which makes the inverse
+    simplicial.  Listed in the search's emission order.
     """
-    n = len(surface.vertices)
-    caps = EnumerationCaps(
-        max_domain_vertices=n, max_codomain_vertices=n, max_maps=None, bijective_only=True
-    )
-    problem, _, vectors, _, _ = _sweep(surface, surface, caps, "auto")
-    inverse_is_simplicial = _inverse_check(problem)
-    return _vectors_to_maps(problem, [v for v in vectors if inverse_is_simplicial(v)])
-
-
-def _inverse_check(problem: _SearchProblem) -> Callable[[tuple[int, ...]], bool]:
-    """Test whether a bijective search vector's inverse is simplicial.
-
-    validate_simplicial on the inverse map, in index space: every codomain
-    facet must pull back to a domain facet, edge or vertex.  The tables
-    (codomain facets as image indices, domain facets and edges as DFS
-    positions) are built once here.  A vector that is not a bijection onto
-    range(m) has no inverse and raises MapDefinitionError.
-    """
-    depth = {v: t for t, v in enumerate(problem.dom_order)}
-    index = {v: i for i, v in enumerate(problem.cod_order)}
-    cod_facets = tuple(tuple(index[v] for v in f) for f in problem.codomain.facets)
-    dom_facets = frozenset(tuple(sorted(depth[v] for v in f)) for f in problem.domain.facets)
-    dom_edges = frozenset(tuple(sorted((depth[a], depth[b]))) for a, b in problem.domain.edges())
-    everything = list(range(len(problem.cod_order)))
-
-    def inverse_is_simplicial(vector: tuple[int, ...]) -> bool:
-        if sorted(vector) != everything:
-            raise MapDefinitionError(f"search vector {vector!r} is not a bijection; it has no inverse")
-        inverse = [0] * len(vector)
-        for t, c in enumerate(vector):
-            inverse[c] = t
-        for a, b, c in cod_facets:
-            image = tuple(sorted({inverse[a], inverse[b], inverse[c]}))
-            if len(image) == 3 and image not in dom_facets:
-                return False
-            if len(image) == 2 and image not in dom_edges:
-                return False
-        return True
-
-    return inverse_is_simplicial
+    problem, _, vectors, _, _ = _sweep(surface, surface, EnumerationCaps(bijective_only=True), "auto")
+    return _vectors_to_maps(problem, vectors)
 
 
 def cycle_notation(f: SimplicialVertexMap) -> str:
@@ -583,15 +590,18 @@ def degree_spectrum(
     codomain: TriangulatedSurface,
     caps: EnumerationCaps | None = None,
     backend: str = "auto",
+    resume_token: Mapping[str, Any] | None = None,
 ) -> SpectrumReport:
     """Enumerate all simplicial maps and aggregate the achievable degrees.
 
-    Uses a lean index-space degree tally during the sweep, then re-derives
-    each witness's degree through the full report machinery; a mismatch is
-    a bug and raises.  When the map budget interrupts the sweep the report
-    is flagged partial and carries the resume token.
+    After the sweep, a lean index-space tally gives each map's degree; each
+    witness's degree is then re-derived through the full report machinery,
+    and a mismatch is a bug and raises.  When the map budget interrupts the
+    sweep the report is flagged partial and carries the resume token;
+    passing it back as resume_token continues the sweep after the last map
+    counted, so the chunks' totals add up to one unbudgeted run.
     """
-    problem, caps, vectors, truncated, token = _sweep(domain, codomain, caps, backend)
+    problem, caps, vectors, truncated, token = _sweep(domain, codomain, caps, backend, resume_token)
     dom_facets, cod_fid, cod_sign = _bulk_degree_tables(problem)
     witnesses_vec: dict[int, tuple[int, ...]] = {}
     for vec in vectors:

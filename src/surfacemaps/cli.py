@@ -184,13 +184,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         "simplicial_volume_codomain": analysis.simplicial_volume(args.g2),
     }
     if args.g2 == 1:
+        bounds = [analysis.vertex_lower_bound(args.g1, d) for d in range(1, args.dmax + 1)]
         doc["vertex_lower_bounds"] = [
-            {
-                "degree": d,
-                "formula": analysis.vertex_lower_bound(args.g1, d).formula,
-                "refined": analysis.vertex_lower_bound(args.g1, d).refined,
-            }
-            for d in range(1, args.dmax + 1)
+            {"degree": d, "formula": b.formula, "refined": b.refined}
+            for d, b in enumerate(bounds, start=1)
         ]
     _emit(doc)
     return 0

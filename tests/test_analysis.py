@@ -24,11 +24,14 @@ from surfacemaps import (
     automorphisms,
     available_backends,
     build_polygon,
+    compose,
+    construct,
     cycle_notation,
     degree,
     degree_bound,
     degree_spectrum,
     enumerate_simplicial_maps,
+    identity_map,
     is_simplicial,
     sigma2_10v,
     simplicial_volume,
@@ -161,13 +164,49 @@ def test_backends_agree_on_budgeted_and_resumed_chunks(dom, cod, budget):
     assert a == b
 
 
-@pytest.mark.parametrize("surface", [TETRA, TORUS, SIGMA2], ids=["tetra", "torus7", "sigma2_10v"])
-def test_backends_agree_on_bijective_search(surface):
-    require_compiled()
+def is_bijective(f):
+    return len(set(f.assignment.values())) == len(f.codomain.vertices) == len(f.domain.vertices)
+
+
+@pytest.mark.parametrize(
+    "surface, order", [(TETRA, 24), (TORUS, 42), (SIGMA2, 3)], ids=["tetra", "torus7", "sigma2_10v"]
+)
+def test_backends_agree_on_bijective_search(surface, order):
+    # bijective_only is the unrestricted enumeration filtered to bijections, in
+    # order.  sigma2_10v's unrestricted 10 -> 10 sweep is too slow to serve as
+    # the oracle, so it keeps its frozen order.
     caps = EnumerationCaps(bijective_only=True)
-    a = enumerate_simplicial_maps(surface, surface, caps, backend="python")
-    b = enumerate_simplicial_maps(surface, surface, caps, backend="compiled")
-    assert a and a == b
+    for backend in available_backends():
+        maps = enumerate_simplicial_maps(surface, surface, caps, backend=backend)
+        assert len(maps) == order and maps == automorphisms(surface)
+        assert all(is_bijective(f) and is_simplicial(f) for f in maps)
+        if surface is not SIGMA2:
+            everything = enumerate_simplicial_maps(surface, surface, backend=backend)
+            assert maps == [f for f in everything if is_bijective(f)]
+
+
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+def test_bijective_only_budget_chunks_reassemble_in_order(backend):
+    if backend == "compiled":
+        require_compiled()
+    caps = EnumerationCaps(max_maps=5, bijective_only=True)
+    chunks, token = [], None
+    while True:
+        try:
+            chunks += enumerate_simplicial_maps(TORUS, TORUS, caps, token, backend)
+            break
+        except SearchCapExceeded as exc:
+            assert exc.reason == "map-budget" and len(exc.partial_maps) == 5
+            chunks += exc.partial_maps
+            token = exc.resume_token
+    assert chunks == automorphisms(TORUS) and len(chunks) == 42
+
+
+# A 7-vertex sphere (the bipyramid over a pentagon): torus7's vertex count
+# with 10 facets instead of 14.
+SPHERE7 = TriangulatedSurface.from_facets(
+    [(pole, f"v{i}", f"v{i % 5 + 1}") for pole in ("v6", "v7") for i in range(1, 6)]
+)
 
 
 @pytest.mark.parametrize("backend", ["python", "compiled"])
@@ -175,8 +214,36 @@ def test_bijective_search_between_different_sizes_is_empty(backend):
     if backend == "compiled":
         require_compiled()
     caps = EnumerationCaps(bijective_only=True)
-    assert enumerate_simplicial_maps(TETRA, TORUS, caps, backend=backend) == []
-    assert enumerate_simplicial_maps(TORUS, TETRA, caps, backend=backend) == []
+    for dom, cod in [(TETRA, TORUS), (TORUS, TETRA), (SPHERE7, TORUS), (TORUS, SPHERE7)]:
+        assert enumerate_simplicial_maps(dom, cod, caps, backend=backend) == []
+        assert analysis._isomorphism_vectors(analysis._prepare(dom, cod)) == []
+
+
+def test_isomorphism_vectors_keep_exactly_the_simplicial_bijections():
+    problem = analysis._prepare(TORUS, TORUS)
+    expected = []
+    for vector in itertools.permutations(range(7)):
+        forward = {problem.dom_order[t]: problem.cod_order[c] for t, c in enumerate(vector)}
+        inverse = {w: v for v, w in forward.items()}
+        if is_simplicial(SimplicialVertexMap.build(TORUS, TORUS, forward)) and is_simplicial(
+            SimplicialVertexMap.build(TORUS, TORUS, inverse)
+        ):
+            expected.append(vector)
+    assert len(expected) == 42
+    assert analysis._isomorphism_vectors(problem) == expected
+
+
+def test_automorphisms_of_a_28_vertex_torus():
+    # The bijective search this replaced took minutes here; the 56 was
+    # cross-checked against it.
+    surface = construct(1, 4).surface
+    autos = automorphisms(surface)
+    assert len(autos) == 56
+    assert identity_map(surface) in autos
+    assert all(is_simplicial(f) for f in autos)
+    group = {tuple(f.assignment.values()) for f in autos}
+    assert len(group) == 56
+    assert all(tuple(compose(f, g).assignment.values()) in group for f in autos for g in autos)
 
 
 def test_python_search_leaves_no_cyclic_garbage():
@@ -205,7 +272,6 @@ KERNEL_ARGS = dict(
     tri_pos=[0, 1],
     edge=bytes([0, 1, 1, 1, 0, 1, 1, 1, 0]),
     facet=bytes(5) + b"\x01" + bytes(21),
-    bijective=False,
     max_maps=-1,
     start=None,
 )
@@ -251,7 +317,8 @@ def test_kernel_rejects_malformed_tables(override):
 # ------------------------------------------------------ kernel interface
 
 
-@pytest.mark.parametrize("interface", [None, KERNEL_INTERFACE + 1, str(KERNEL_INTERFACE)])
+# Interface 1 is a kernel built while search() still took a bijective flag.
+@pytest.mark.parametrize("interface", [None, 1, KERNEL_INTERFACE + 1, str(KERNEL_INTERFACE)])
 def test_kernel_with_another_interface_is_rejected(interface):
     fake = types.ModuleType("surfacemaps._backtrack")
     fake.__file__ = "/elsewhere/_backtrack.cpython-311-x86_64-linux-gnu.so"
@@ -313,7 +380,7 @@ def test_vectors_to_maps_matches_build(dom, cod, backend):
     # torus7 and the tetrahedron are vertex-transitive, so their search order
     # is label order; sigma2_10v's is not, which exercises the reordering.
     assert (problem.dom_order != dom.vertices) == (dom is SIGMA2)
-    vectors, _ = analysis._run_backend(problem, backend, bijective=False, max_maps=3000, start=None)
+    vectors, _ = analysis._run_backend(problem, backend, max_maps=3000, start=None)
     maps = analysis._vectors_to_maps(problem, vectors)
     assert len(maps) == len(vectors) > 0
     for vector, f in zip(vectors, maps):
@@ -332,22 +399,6 @@ def test_vectors_to_maps_rejects_non_total_vectors(vector):
     problem = analysis._prepare(TETRA, TORUS)
     with pytest.raises(MapDefinitionError):
         analysis._vectors_to_maps(problem, [(0, 1, 2, 3), vector])
-
-
-def test_inverse_check_matches_validate_simplicial_on_every_bijection():
-    problem = analysis._prepare(TORUS, TORUS)
-    inverse_is_simplicial = analysis._inverse_check(problem)
-    kept = 0
-    for vector in itertools.permutations(range(7)):
-        forward = {problem.dom_order[t]: problem.cod_order[c] for t, c in enumerate(vector)}
-        inverse = {w: v for v, w in forward.items()}
-        expected = is_simplicial(SimplicialVertexMap.build(TORUS, TORUS, inverse))
-        assert inverse_is_simplicial(vector) == expected, vector
-        kept += expected
-    assert kept == 42
-    for not_bijective in [(0, 0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5, 7), (0, 1, 2, 3, 4, 5)]:
-        with pytest.raises(MapDefinitionError):
-            inverse_is_simplicial(not_bijective)
 
 
 def test_budget_and_resume_chunking_reassembles_everything():
@@ -400,8 +451,16 @@ def test_resume_token_rejects_malformed_shapes(token):
 
 
 def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        enumerate_simplicial_maps(TETRA, TETRA, backend="gpu")
+    for caps in [EnumerationCaps(), EnumerationCaps(bijective_only=True)]:
+        with pytest.raises(ValueError):
+            enumerate_simplicial_maps(TETRA, TETRA, caps, backend="gpu")
+
+
+def test_compiled_backend_without_kernel_rejected(monkeypatch):
+    monkeypatch.setattr(analysis, "_kernel", None)
+    for caps in [EnumerationCaps(), EnumerationCaps(bijective_only=True)]:
+        with pytest.raises(RuntimeError, match="build_ext --inplace --force"):
+            enumerate_simplicial_maps(TETRA, TETRA, caps, backend="compiled")
 
 
 # -------------------------------------------------------- automorphisms
@@ -472,6 +531,25 @@ def test_partial_spectrum_carries_resume_token():
     assert report.partial
     assert report.total_maps == 100
     assert report.resume_token is not None
+
+
+def test_spectrum_resumes_from_its_token():
+    caps = EnumerationCaps(max_maps=5000)
+    total, witnesses, token = 0, {}, None
+    while True:
+        report = degree_spectrum(TORUS, TORUS, caps, resume_token=token)
+        total += report.total_maps
+        for d in report.achievable_degrees:
+            witnesses.setdefault(d, report.witnesses[d])
+        if not report.partial:
+            break
+        token = report.resume_token
+    whole = degree_spectrum(TORUS, TORUS)
+    assert total == whole.total_maps == fx.TORUS7_SELF_MAP_COUNT
+    assert tuple(sorted(witnesses)) == whole.achievable_degrees
+    assert witnesses == dict(whole.witnesses)
+    with pytest.raises(ValueError, match="resume token"):
+        degree_spectrum(TETRA, TETRA, caps, resume_token=token)
 
 
 def test_spectrum_backends_agree():
