@@ -3,9 +3,12 @@
  * Runs the same search in the same emission order as the pure-Python
  * reference (surfacemaps.analysis._python_search); the test suite compares
  * the two backends output for output.  All index tables arrive flattened
- * from the caller, so this module knows nothing about surfaces.  The tables
- * are checked on entry, so a malformed one raises ValueError instead of
- * reading out of bounds.
+ * from the caller, so this module knows nothing about surfaces.  The
+ * codomain is one apex table of 2*m*m ints: the two apexes of edge ab at
+ * 2*(a*m + b), -1 where ab is not an edge.  It answers both checks: ab is
+ * an edge when its first apex is set, and abc is a facet when c is an apex
+ * of ab.  The tables are checked on entry, so a malformed one raises
+ * ValueError instead of reading out of bounds.
  *
  * Plain C against the CPython API; build with `python setup.py build_ext
  * --inplace`.
@@ -19,7 +22,7 @@
 /* Version of the search() argument list, exported as INTERFACE.  Bump it
  * whenever those arguments change, together with KERNEL_INTERFACE in
  * analysis.py, which refuses an extension built for another version. */
-#define KERNEL_INTERFACE 2
+#define KERNEL_INTERFACE 3
 
 /* Let Ctrl-C interrupt a long search: poll for signals every 2**20 nodes. */
 #define SIGNAL_POLL_MASK ((1UL << 20) - 1)
@@ -92,8 +95,7 @@ check_table(const IntArray *off, const IntArray *pos, int n, int stride, const c
 
 typedef struct {
     int n, m;
-    IntArray pair_off, pair_pos, tri_off, tri_pos;
-    const unsigned char *edge, *facet;
+    IntArray pair_off, pair_pos, tri_off, tri_pos, apex;
 } Tables;
 
 static int
@@ -102,17 +104,13 @@ admissible(const Tables *tb, const int *assign, int t, int c)
     size_t m = (size_t)tb->m;
     for (int i = tb->pair_off.v[t]; i < tb->pair_off.v[t + 1]; i++) {
         int a = assign[tb->pair_pos.v[i]];
-        if (a != c && !tb->edge[a * m + c])
+        if (a != c && tb->apex.v[2 * (a * m + c)] < 0)
             return 0;
     }
     for (int i = tb->tri_off.v[t]; i < tb->tri_off.v[t + 1]; i += 2) {
-        int lo = assign[tb->tri_pos.v[i]], mid = assign[tb->tri_pos.v[i + 1]], hi = c, tmp;
-        if (lo == mid || lo == hi || mid == hi)
-            continue;
-        if (lo > mid) { tmp = lo; lo = mid; mid = tmp; }
-        if (mid > hi) { tmp = mid; mid = hi; hi = tmp; }
-        if (lo > mid) { tmp = lo; lo = mid; mid = tmp; }
-        if (!tb->facet[((size_t)lo * m + mid) * m + hi])
+        int a = assign[tb->tri_pos.v[i]], b = assign[tb->tri_pos.v[i + 1]];
+        const int *ab = tb->apex.v + 2 * (a * m + b);
+        if (a != b && a != c && b != c && ab[0] != c && ab[1] != c)
             return 0;
     }
     return 1;
@@ -185,8 +183,10 @@ run_search(const Tables *tb, long max_maps, const int *start, int *assign, int *
 }
 
 PyDoc_STRVAR(search_doc,
-"search(n, m, pair_off, pair_pos, tri_off, tri_pos, edge, facet, max_maps, start)\n\n"
-"Run the search; arguments and return match the Python reference.\n\n"
+"search(n, m, pair_off, pair_pos, tri_off, tri_pos, apex, max_maps, start)\n\n"
+"Run the search; arguments and return match the Python reference.  apex\n"
+"lists the two apexes of each codomain edge ab at 2*(a*m + b), and -1 at\n"
+"both places when ab is not an edge.\n\n"
 "Returns (vectors, truncated) where vectors is a list of int tuples in\n"
 "lexicographic emission order and truncated is True when max_maps maps\n"
 "were emitted with candidates remaining (max_maps < 0 means no budget).\n"
@@ -194,41 +194,38 @@ PyDoc_STRVAR(search_doc,
 "than it.  Malformed tables raise ValueError.");
 
 static PyObject *
-search(PyObject *self, PyObject *args, PyObject *kwargs)
+search(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"n", "m", "pair_off", "pair_pos", "tri_off", "tri_pos", "edge",
-                             "facet", "max_maps", "start", NULL};
+    static char *kwlist[] = {"n", "m", "pair_off", "pair_pos", "tri_off", "tri_pos", "apex",
+                             "max_maps", "start", NULL};
     Tables tb = {0};
-    PyObject *pair_off, *pair_pos, *tri_off, *tri_pos, *start_obj, *out = NULL;
-    const char *edge, *facet;
-    Py_ssize_t edge_len, facet_len;
+    PyObject *pair_off, *pair_pos, *tri_off, *tri_pos, *apex, *start_obj, *out = NULL;
     int truncated = 0;
     long max_maps;
     IntArray start = {0, NULL};
     int *assign = NULL, *next = NULL;
     unsigned char *on = NULL;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiOOOOy#y#lO:search", kwlist, &tb.n, &tb.m,
-                                     &pair_off, &pair_pos, &tri_off, &tri_pos, &edge, &edge_len,
-                                     &facet, &facet_len, &max_maps, &start_obj))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiOOOOOlO:search", kwlist, &tb.n, &tb.m,
+                                     &pair_off, &pair_pos, &tri_off, &tri_pos, &apex, &max_maps,
+                                     &start_obj))
         return NULL;
     if (tb.n < 0 || tb.m < 0 || tb.m > 2000000) {
         PyErr_SetString(PyExc_ValueError, "n and m must be non-negative and m at most 2000000");
         return NULL;
     }
-    if (edge_len != (Py_ssize_t)tb.m * tb.m || facet_len != (Py_ssize_t)tb.m * tb.m * tb.m) {
-        PyErr_SetString(PyExc_ValueError, "edge must have m*m bytes and facet m**3 bytes");
-        return NULL;
-    }
-    tb.edge = (const unsigned char *)edge;
-    tb.facet = (const unsigned char *)facet;
     if (int_array(pair_off, "pair_off", &tb.pair_off) < 0
         || int_array(pair_pos, "pair_pos", &tb.pair_pos) < 0
         || int_array(tri_off, "tri_off", &tb.tri_off) < 0
         || int_array(tri_pos, "tri_pos", &tb.tri_pos) < 0
+        || int_array(apex, "apex", &tb.apex) < 0
         || check_table(&tb.pair_off, &tb.pair_pos, tb.n, 1, "pair") < 0
         || check_table(&tb.tri_off, &tb.tri_pos, tb.n, 2, "tri") < 0)
         goto done;
+    if (tb.apex.len != 2 * (Py_ssize_t)tb.m * tb.m) {
+        PyErr_SetString(PyExc_ValueError, "apex must have 2*m*m entries");
+        goto done;
+    }
     if (start_obj != Py_None) {
         if (int_array(start_obj, "start", &start) < 0)
             goto done;
@@ -262,6 +259,7 @@ done:
     PyMem_Free(tb.pair_pos.v);
     PyMem_Free(tb.tri_off.v);
     PyMem_Free(tb.tri_pos.v);
+    PyMem_Free(tb.apex.v);
     PyMem_Free(start.v);
     PyMem_Free(assign);
     PyMem_Free(next);
@@ -282,6 +280,10 @@ static struct PyModuleDef backtrack_module = {
     "Compiled backtracking kernel for the simplicial-map enumerator.",
     -1,
     backtrack_methods,
+    NULL,
+    NULL,
+    NULL,
+    NULL,
 };
 
 PyMODINIT_FUNC

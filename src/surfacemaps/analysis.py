@@ -6,27 +6,30 @@ tried in codomain label order, so maps are emitted in a fixed lexicographic
 order.  Pruning is exact, not heuristic: a partial assignment is extended
 only while every fully-assigned domain edge lands on a codomain edge or a
 single vertex, and every fully-assigned facet lands on a facet, an edge or
-a vertex.  Two interchangeable backends run the same search: a compiled C
-kernel (surfacemaps._backtrack) and a pure-Python fallback; they emit
-identical sequences and tests compare them directly.  The kernel is used
-only when its INTERFACE number matches KERNEL_INTERFACE, so an extension
-left over from an older build of _backtrack.c counts as not built.
+a vertex.  Both checks read one codomain table, the two apexes of each
+edge (_apex_table): ab is an edge when it has apexes, and abc is a facet
+when c is one of them.  Two interchangeable backends run the same search:
+a compiled C kernel (surfacemaps._backtrack), which takes that table
+flattened to 2*m*m ints, and a pure-Python fallback; they emit identical
+sequences and tests compare them directly.  The kernel is used only when
+its INTERFACE number matches KERNEL_INTERFACE, so an extension left over
+from an older build of _backtrack.c counts as not built.
 
 Isomorphisms (bijective_only, and so automorphisms) are not searched
-for: _isomorphism_vectors propagates flags in O(F**2) for F facets and
-emits them in the search's order.  Both paths return plain index vectors
-(codomain index per DFS depth).  Only the vectors a caller returns
-become SimplicialVertexMap values, and they are built in bulk by
-_vectors_to_maps: the search orders are checked once per sweep and each
-vector only for its length and index range, which gives the same
-totality guarantee as SimplicialVertexMap.build.
+for: _isomorphism_vectors propagates flags across the same apex table in
+O(F**2) for F facets and emits them in the search's order.  Both paths
+return plain index vectors (codomain index per DFS depth).  Only the
+vectors a caller returns become SimplicialVertexMap values, and they are
+built in bulk by _vectors_to_maps: the search orders are checked once per
+sweep and each vector only for its length and index range, which gives
+the same totality guarantee as SimplicialVertexMap.build.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Iterable, Mapping, Sequence
@@ -42,7 +45,7 @@ from .surface import TriangulatedSurface, Vertex, orient, require_valid
 
 # The argument list of _backtrack.search that this module passes; must equal
 # INTERFACE in _backtrack.c, and both change whenever those arguments do.
-KERNEL_INTERFACE = 2
+KERNEL_INTERFACE = 3
 
 
 def _load_kernel(module: Any) -> tuple[Any, str]:
@@ -151,53 +154,63 @@ class _SearchProblem:
     codomain: TriangulatedSurface
     dom_order: tuple[Vertex, ...]  # DFS depth -> domain vertex
     cod_order: tuple[Vertex, ...]  # image index -> codomain vertex (label order)
-    pair_checks: tuple[tuple[int, ...], ...]  # per depth: earlier positions sharing an edge
-    triple_checks: tuple[tuple[tuple[int, int], ...], ...]  # per depth: facets completed here
-    cod_edge: frozenset[tuple[int, int]]
-    cod_facet: frozenset[tuple[int, int, int]]
+    dom_facets: tuple[tuple[int, ...], ...]  # domain.facets by DFS position, in stored order
+    cod_facets: tuple[tuple[int, ...], ...]  # codomain.facets by image index, ascending
+    cod_apex: dict[tuple[int, int], tuple[int, ...]]  # see _apex_table
+
+
+def _apex_table(facets: Iterable[Sequence[int]]) -> dict[tuple[int, int], tuple[int, ...]]:
+    """apex[a, b] (and apex[b, a]) lists the apexes of edge ab: two on a closed surface.
+
+    So (a, b) is a key exactly when ab is an edge, and c is in apex[a, b]
+    exactly when abc is a facet.
+    """
+    apex: dict[tuple[int, int], tuple[int, ...]] = {}
+    for a, b, c in facets:
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            apex[x, y] = apex[y, x] = apex.get((x, y), ()) + (z,)
+    return apex
 
 
 def _prepare(domain: TriangulatedSurface, codomain: TriangulatedSurface) -> _SearchProblem:
     require_valid(domain)
     require_valid(codomain)
-    facet_degree: dict[Vertex, int] = {v: 0 for v in domain.vertices}
-    for f in domain.facets:
-        for v in f:
-            facet_degree[v] += 1
+    facet_degree = Counter(v for f in domain.facets for v in f)
     dom_order = tuple(sorted(domain.vertices, key=lambda v: (-facet_degree[v], v)))
     pos = {v: i for i, v in enumerate(dom_order)}
     cod_order = tuple(codomain.vertices)
     cod_index = {v: i for i, v in enumerate(cod_order)}
-
-    pairs: list[set[int]] = [set() for _ in dom_order]
-    for a, b in domain.edges():
-        i, j = pos[a], pos[b]
-        if i > j:
-            i, j = j, i
-        pairs[j].add(i)
-    triples: list[list[tuple[int, int]]] = [[] for _ in dom_order]
-    for f in domain.facets:
-        i, j, k = sorted(pos[v] for v in f)
-        triples[k].append((i, j))
-
-    cod_edge = frozenset(
-        (cod_index[a], cod_index[b]) for a, b in codomain.edges()
-    ) | frozenset((cod_index[b], cod_index[a]) for a, b in codomain.edges())
-    cod_facet = frozenset(tuple(sorted(cod_index[v] for v in f)) for f in codomain.facets)
+    cod_facets = tuple(tuple(sorted(cod_index[v] for v in f)) for f in codomain.facets)
     return _SearchProblem(
         domain=domain,
         codomain=codomain,
         dom_order=dom_order,
         cod_order=cod_order,
-        pair_checks=tuple(tuple(sorted(s)) for s in pairs),
-        triple_checks=tuple(tuple(sorted(t)) for t in triples),
-        cod_edge=cod_edge,
-        cod_facet=cod_facet,
+        dom_facets=tuple(tuple(pos[v] for v in f) for f in domain.facets),
+        cod_facets=cod_facets,
+        cod_apex=_apex_table(cod_facets),
     )
+
+
+def _depth_checks(
+    problem: _SearchProblem,
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[tuple[int, int], ...], ...]]:
+    """(pair_checks, triple_checks) of the search, per DFS depth t: the earlier
+    positions sharing an edge with t, and the earlier pairs completing a facet at t."""
+    pairs: list[set[int]] = [set() for _ in problem.dom_order]
+    triples: list[list[tuple[int, int]]] = [[] for _ in problem.dom_order]
+    for f in problem.dom_facets:
+        i, j, k = sorted(f)
+        pairs[j].add(i)
+        pairs[k].update((i, j))
+        triples[k].append((i, j))
+    return tuple(tuple(sorted(s)) for s in pairs), tuple(tuple(sorted(t)) for t in triples)
 
 
 def _python_search(
     problem: _SearchProblem,
+    pair_checks: Sequence[Sequence[int]],
+    triple_checks: Sequence[Sequence[tuple[int, int]]],
     *,
     max_maps: int | None,
     start: tuple[int, ...] | None,
@@ -210,10 +223,7 @@ def _python_search(
     """
     n = len(problem.dom_order)
     m = len(problem.cod_order)
-    edge = problem.cod_edge
-    facet = problem.cod_facet
-    pair_checks = problem.pair_checks
-    triple_checks = problem.triple_checks
+    apex = problem.cod_apex
 
     out: list[tuple[int, ...]] = []
     assign = [0] * n
@@ -222,14 +232,13 @@ def _python_search(
     def admissible(t: int, c: int) -> bool:
         for s in pair_checks[t]:
             a = assign[s]
-            if a != c and (a, c) not in edge:
+            if a != c and (a, c) not in apex:
                 return False
         for s1, s2 in triple_checks[t]:
             a, b = assign[s1], assign[s2]
-            if a != b and a != c and b != c:
-                lo, mid, hi = sorted((a, b, c))
-                if (lo, mid, hi) not in facet:
-                    return False
+            # ab passed the edge check at the depth of s1 or s2, whichever is later
+            if a != b and a != c and b != c and c not in apex[a, b]:
+                return False
         return True
 
     def dfs(t: int, on_prefix: bool) -> bool:
@@ -272,38 +281,21 @@ def _run_backend(
     start: tuple[int, ...] | None,
 ) -> tuple[list[tuple[int, ...]], bool]:
     """Run the search on backend "python" or "compiled" (which must be available)."""
+    pair_checks, triple_checks = _depth_checks(problem)
     if backend == "python":
-        return _python_search(problem, max_maps=max_maps, start=start)
+        return _python_search(problem, pair_checks, triple_checks, max_maps=max_maps, start=start)
     n, m = len(problem.dom_order), len(problem.cod_order)
-    pair_pos = [s for checks in problem.pair_checks for s in checks]
-    pair_off = [0, *itertools.accumulate(map(len, problem.pair_checks))]
-    tri_pos = [s for checks in problem.triple_checks for pair in checks for s in pair]
-    tri_off = [0, *itertools.accumulate(2 * len(checks) for checks in problem.triple_checks)]
-    edge_flat = bytearray(m * m)
-    for a, b in problem.cod_edge:
-        edge_flat[a * m + b] = 1
-    facet_flat = bytearray(m * m * m)
-    for i, j, k in problem.cod_facet:
-        facet_flat[(i * m + j) * m + k] = 1
+    pair_pos = [s for checks in pair_checks for s in checks]
+    pair_off = [0, *itertools.accumulate(map(len, pair_checks))]
+    tri_pos = [s for checks in triple_checks for pair in checks for s in pair]
+    tri_off = [0, *itertools.accumulate(2 * len(checks) for checks in triple_checks)]
+    apex_flat = [-1] * (2 * m * m)  # the apexes of edge ab at 2 * (a * m + b), -1 for a non-edge
+    for (a, b), apexes in problem.cod_apex.items():
+        apex_flat[2 * (a * m + b) : 2 * (a * m + b + 1)] = apexes
     return _kernel.search(
-        n, m, pair_off, pair_pos, tri_off, tri_pos, bytes(edge_flat), bytes(facet_flat),
+        n, m, pair_off, pair_pos, tri_off, tri_pos, apex_flat,
         -1 if max_maps is None else max_maps, None if start is None else list(start),
     )
-
-
-def _surface_tables(
-    facets: Iterable[tuple[int, int, int]], n: int
-) -> tuple[list[int], dict[tuple[int, int], int]]:
-    """(degree, apexes) of a closed surface on range(n): degree[x] counts the
-    facets at x, and apexes[x, y] sums the two apexes of the edge xy, so the
-    apex across xy from z is apexes[x, y] - z."""
-    degree, apexes = [0] * n, defaultdict(int)
-    for a, b, c in facets:
-        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            degree[x] += 1
-            apexes[x, y] += z
-            apexes[y, x] += z
-    return degree, dict(apexes)
 
 
 def _isomorphism_vectors(problem: _SearchProblem) -> list[tuple[int, ...]]:
@@ -313,43 +305,45 @@ def _isomorphism_vectors(problem: _SearchProblem) -> list[tuple[int, ...]]:
     domain facet; that fixes the image of the apex across each edge in turn,
     and the domain is connected.  A candidate is dropped once a vertex meets
     one of another facet degree or gets two images, and kept only when it is
-    injective and its image facets are exactly the codomain's, which makes
-    its inverse simplicial too.  Sorted is the search's emission order.
+    injective and maps every facet onto a codomain facet: with equal facet
+    counts its image facets are then exactly the codomain's, which makes its
+    inverse simplicial too.  Sorted is the search's emission order.
     """
     n = len(problem.dom_order)
-    pos = {v: t for t, v in enumerate(problem.dom_order)}
-    dom_facets = [tuple(pos[v] for v in f) for f in problem.domain.facets]
-    if n != len(problem.cod_order) or len(dom_facets) != len(problem.cod_facet):
+    dom_facets, cod_apex = problem.dom_facets, problem.cod_apex
+    if n != len(problem.cod_order) or len(dom_facets) != len(problem.cod_facets):
         return []
-    dom_degree, dom_apexes = _surface_tables(dom_facets, n)
-    cod_degree, cod_apexes = _surface_tables(problem.cod_facet, n)
+    dom_apex = _apex_table(dom_facets)
+    # On a closed surface a vertex lies on as many facets as edges.
+    dom_degree, cod_degree = Counter(x for x, _ in dom_apex), Counter(x for x, _ in cod_apex)
     # One step (x, y, z, w) per domain edge xy, walking outward from the first
     # facet: x, y and z have images when it runs, and it sets or checks w's.
     first = dom_facets[0]
     p, q, r = first
     edges, seen, steps = [(p, q, r), (q, r, p), (r, p, q)], {(p, q), (q, r), (r, p)}, []
     for x, y, z in edges:
-        w = dom_apexes[x, y] - z
+        w = sum(dom_apex[x, y]) - z
         steps.append((x, y, z, w))
         for u, v, t in ((x, w, y), (w, y, x)):
             if (u, v) not in seen and (v, u) not in seen:
                 seen.add((u, v))
                 edges.append((u, v, t))
     found = []
-    for flag in itertools.chain.from_iterable(map(itertools.permutations, problem.cod_facet)):
+    for flag in itertools.chain.from_iterable(map(itertools.permutations, problem.cod_facets)):
         if [dom_degree[t] for t in first] != [cod_degree[c] for c in flag]:
             continue
         image = [-1] * n
         image[p], image[q], image[r] = flag
         for x, y, z, w in steps:
-            c = cod_apexes[image[x], image[y]] - image[z]
+            c = sum(cod_apex[image[x], image[y]]) - image[z]
             if image[w] < 0 and dom_degree[w] == cod_degree[c]:
                 image[w] = c
             elif image[w] != c:
                 break
         else:
-            facets = {tuple(sorted((image[a], image[b], image[c]))) for a, b, c in dom_facets}
-            if len(set(image)) == n and facets == problem.cod_facet:
+            if len(set(image)) == n and all(
+                image[c] in cod_apex.get((image[a], image[b]), ()) for a, b, c in dom_facets
+            ):
                 found.append(tuple(image))
     return sorted(found)
 
@@ -548,17 +542,11 @@ def _bulk_degree_tables(problem: _SearchProblem):
     """Index-space orientation tables for the per-vector degree tally."""
     dom_or = orient(problem.domain)
     cod_or = orient(problem.codomain)
-    pos = {v: i for i, v in enumerate(problem.dom_order)}
     dom_facets = tuple(
-        (pos[a], pos[b], pos[c], dom_or.signs[(a, b, c)]) for a, b, c in problem.domain.facets
+        (*f, dom_or.signs[label]) for f, label in zip(problem.dom_facets, problem.domain.facets)
     )
-    cod_index = {v: i for i, v in enumerate(problem.cod_order)}
-    cod_fid = {}
-    cod_sign = []
-    for fid, f in enumerate(problem.codomain.facets):
-        cod_fid[tuple(sorted(cod_index[v] for v in f))] = fid
-        cod_sign.append(cod_or.signs[f])
-    return dom_facets, cod_fid, tuple(cod_sign)
+    cod_fid = {f: fid for fid, f in enumerate(problem.cod_facets)}
+    return dom_facets, cod_fid, tuple(cod_or.signs[f] for f in problem.codomain.facets)
 
 
 def _vector_degree(vector, dom_facets, cod_fid, cod_sign) -> int:

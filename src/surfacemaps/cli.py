@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -147,7 +148,10 @@ def cmd_automorphisms(args: argparse.Namespace) -> int:
     surf = _load_surface_arg(args.surface)
     autos = analysis.automorphisms(surf)
     cycles = [analysis.cycle_notation(f) for f in autos]
-    degrees = sorted({maps.degree(f).degree for f in autos})
+    # An automorphism maps facets onto facets, so its degree is the sign of
+    # its image of the positive reference.
+    orientation = surface.orient(surf)
+    degrees = sorted({orientation.sign(f.assignment[v] for v in orientation.reference) for f in autos})
     _emit({"count": len(autos), "degrees": degrees, "cycles": cycles})
     return 0
 
@@ -202,7 +206,9 @@ def cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="surfacemaps",
         description="Triangulated closed surfaces, simplicial vertex maps, and degrees.",

@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -219,6 +220,19 @@ def test_bijective_search_between_different_sizes_is_empty(backend):
         assert analysis._isomorphism_vectors(analysis._prepare(dom, cod)) == []
 
 
+def test_isomorphism_paths_build_no_search_tables(monkeypatch):
+    def refuse(problem):
+        raise AssertionError("search tables built for an isomorphism query")
+
+    monkeypatch.setattr(analysis, "_depth_checks", refuse)
+    assert len(automorphisms(TORUS)) == 42
+    for backend in available_backends():
+        caps = EnumerationCaps(bijective_only=True)
+        assert len(enumerate_simplicial_maps(SIGMA2, SIGMA2, caps, backend=backend)) == 3
+    with pytest.raises(AssertionError):
+        enumerate_simplicial_maps(TETRA, TETRA)
+
+
 def test_isomorphism_vectors_keep_exactly_the_simplicial_bijections():
     problem = analysis._prepare(TORUS, TORUS)
     expected = []
@@ -246,6 +260,35 @@ def test_automorphisms_of_a_28_vertex_torus():
     assert all(tuple(compose(f, g).assignment.values()) in group for f in autos for g in autos)
 
 
+@pytest.mark.parametrize(
+    "surface", [TORUS, RELABELLED_TORUS, SIGMA2, SPHERE7], ids=["torus7", "relabelled-torus7", "sigma2_10v", "sphere7"]
+)
+def test_apex_table_answers_the_edge_and_facet_checks(surface):
+    problem = analysis._prepare(TETRA, surface)
+    apex, index = problem.cod_apex, {v: i for i, v in enumerate(problem.cod_order)}
+    facets = {tuple(sorted(index[v] for v in f)) for f in surface.facets}
+    edges = {frozenset((index[a], index[b])) for a, b in surface.edges()}
+    for a, b in itertools.permutations(range(len(index)), 2):
+        assert ((a, b) in apex) == (frozenset((a, b)) in edges)
+    for a, b, c in itertools.permutations(range(len(index)), 3):
+        assert (c in apex.get((a, b), ())) == (tuple(sorted((a, b, c))) in facets)
+
+
+def test_compiled_search_memory_is_quadratic_in_the_codomain():
+    # With an m**3 facet table, as the kernel once took, this search peaked at 147.6 MB.
+    require_compiled()
+    problem = analysis._prepare(TETRA, construct(1, 60).surface)
+    assert len(problem.cod_order) == 420
+    tracemalloc.start()
+    try:
+        vectors, truncated = analysis._run_backend(problem, "compiled", max_maps=None, start=None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(vectors) == 48300 and not truncated
+    assert peak < 24 * 2**20
+
+
 def test_python_search_leaves_no_cyclic_garbage():
     gc.collect()
     gc.disable()
@@ -262,7 +305,9 @@ def test_python_search_leaves_no_cyclic_garbage():
 
 
 # Valid kernel tables for a 3-vertex domain whose vertices pairwise share an
-# edge and which has one facet, mapped into a codomain that is one triangle.
+# edge and which has one facet, mapped into a codomain that is one triangle:
+# each of its edges has the third vertex as its only apex, -1 fills the other
+# slot, and both slots of a non-edge aa are -1.
 KERNEL_ARGS = dict(
     n=3,
     m=3,
@@ -270,8 +315,8 @@ KERNEL_ARGS = dict(
     pair_pos=[0, 0, 1],
     tri_off=[0, 0, 0, 2],
     tri_pos=[0, 1],
-    edge=bytes([0, 1, 1, 1, 0, 1, 1, 1, 0]),
-    facet=bytes(5) + b"\x01" + bytes(21),
+    # the two apexes of ab for ab = 00, 01, 02, 10, 11, 12, 20, 21, 22
+    apex=[-1, -1, 2, -1, 1, -1, 2, -1, -1, -1, 0, -1, 1, -1, 0, -1, -1, -1],
     max_maps=-1,
     start=None,
 )
@@ -288,8 +333,8 @@ def test_kernel_accepts_well_formed_tables():
 @pytest.mark.parametrize(
     "override",
     [
-        {"edge": bytes(8)},
-        {"facet": bytes(26)},
+        {"apex": [-1] * 9},  # m*m, the size of the former edge table
+        {"apex": [-1] * 27},  # m**3, the size of the former facet table
         {"n": 4},
         {"m": -1},
         {"pair_off": [0, 0, 1]},
@@ -317,8 +362,9 @@ def test_kernel_rejects_malformed_tables(override):
 # ------------------------------------------------------ kernel interface
 
 
-# Interface 1 is a kernel built while search() still took a bijective flag.
-@pytest.mark.parametrize("interface", [None, 1, KERNEL_INTERFACE + 1, str(KERNEL_INTERFACE)])
+# Interface 1 is a kernel built while search() still took a bijective flag,
+# interface 2 one that took edge and facet byte tables instead of apex.
+@pytest.mark.parametrize("interface", [None, 1, 2, KERNEL_INTERFACE + 1, str(KERNEL_INTERFACE)])
 def test_kernel_with_another_interface_is_rejected(interface):
     fake = types.ModuleType("surfacemaps._backtrack")
     fake.__file__ = "/elsewhere/_backtrack.cpython-311-x86_64-linux-gnu.so"

@@ -9,7 +9,18 @@ import sys
 import pytest
 
 import fixtures as fx
-from surfacemaps import dump_surface, load_surface, surface_from_dict, torus7
+from surfacemaps import (
+    automorphisms,
+    construct,
+    degree,
+    dump_surface,
+    load_surface,
+    orient,
+    sigma2_10v,
+    surface_from_dict,
+    tetrahedron,
+    torus7,
+)
 from surfacemaps.cli import main
 
 
@@ -132,6 +143,26 @@ def test_automorphisms_doc(tmp_path, capsys):
     assert doc["count"] == 42
     assert doc["degrees"] == [1]
     assert "()" in doc["cycles"]
+
+
+@pytest.mark.parametrize(
+    "key", ["tetrahedron", "torus7", "sigma2_10v", (2, 2), (3, 1), (3, 0), (3, 2), (3, 3), (4, 2), (1, 4), (1, 6)]
+)
+def test_automorphism_degrees_are_signs_of_the_reference_image(key, tmp_path, capsys):
+    # The CLI reads each automorphism's degree off the orientation sign of its
+    # image of the positive reference; the full degree report must agree.
+    fixed = {"tetrahedron": tetrahedron, "torus7": torus7, "sigma2_10v": lambda: sigma2_10v().surface}
+    surf = fixed[key]() if isinstance(key, str) else construct(*key).surface
+    orientation = orient(surf)
+    autos = automorphisms(surf)
+    degrees = [degree(f).degree for f in autos]
+    assert [orientation.sign(f.assignment[v] for v in orientation.reference) for f in autos] == degrees
+    if key == "tetrahedron":
+        assert set(degrees) == {-1, 1}
+    p = tmp_path / "surface.json"
+    p.write_text(dump_surface(surf), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "automorphisms", str(p))
+    assert code == 0 and json.loads(out)["degrees"] == sorted(set(degrees))
 
 
 def test_spectrum_doc_and_caps(tmp_path, capsys):
