@@ -6,8 +6,8 @@ tried in codomain label order, so maps are emitted in a fixed lexicographic
 order.  Pruning is exact, not heuristic: a partial assignment is extended
 only while every fully-assigned domain edge lands on a codomain edge or a
 single vertex, and every fully-assigned facet lands on a facet, an edge or
-a vertex.  Both checks read one codomain table, the two apexes of each
-edge (_apex_table): ab is an edge when it has apexes, and abc is a facet
+a vertex.  Both checks read the codomain's surface.apex_table, the two
+apexes of each edge: ab is an edge when it has apexes, and abc is a facet
 when c is one of them.  Two interchangeable backends run the same search:
 a compiled C kernel (surfacemaps._backtrack), which takes that table
 flattened to 2*m*m ints, and a pure-Python fallback; they emit identical
@@ -16,8 +16,9 @@ its INTERFACE number matches KERNEL_INTERFACE, so an extension left over
 from an older build of _backtrack.c counts as not built.
 
 Isomorphisms (bijective_only, and so automorphisms) are not searched
-for: _isomorphism_vectors propagates flags across the same apex table in
-O(F**2) for F facets and emits them in the search's order.  Both paths
+for: _isomorphism_vectors propagates flags along the domain's
+surface.facet_walk and the codomain's apex table in O(F**2) for F facets
+and emits them in the search's order.  Both paths
 return plain index vectors (codomain index per DFS depth).  Only the
 vectors a caller returns become SimplicialVertexMap values, and they are
 built in bulk by _vectors_to_maps: the search orders are checked once per
@@ -32,7 +33,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from .maps import (
     DegreeInconsistencyError,
@@ -41,7 +42,7 @@ from .maps import (
     degree,
     validate_simplicial,
 )
-from .surface import TriangulatedSurface, Vertex, orient, require_valid
+from .surface import TriangulatedSurface, Vertex, apex_table, facet_walk, orient, require_valid, triple_parity
 
 # The argument list of _backtrack.search that this module passes; must equal
 # INTERFACE in _backtrack.c, and both change whenever those arguments do.
@@ -156,20 +157,7 @@ class _SearchProblem:
     cod_order: tuple[Vertex, ...]  # image index -> codomain vertex (label order)
     dom_facets: tuple[tuple[int, ...], ...]  # domain.facets by DFS position, in stored order
     cod_facets: tuple[tuple[int, ...], ...]  # codomain.facets by image index, ascending
-    cod_apex: dict[tuple[int, int], tuple[int, ...]]  # see _apex_table
-
-
-def _apex_table(facets: Iterable[Sequence[int]]) -> dict[tuple[int, int], tuple[int, ...]]:
-    """apex[a, b] (and apex[b, a]) lists the apexes of edge ab: two on a closed surface.
-
-    So (a, b) is a key exactly when ab is an edge, and c is in apex[a, b]
-    exactly when abc is a facet.
-    """
-    apex: dict[tuple[int, int], tuple[int, ...]] = {}
-    for a, b, c in facets:
-        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            apex[x, y] = apex[y, x] = apex.get((x, y), ()) + (z,)
-    return apex
+    cod_apex: dict[tuple[int, int], list[int]]  # surface.apex_table of cod_facets
 
 
 def _prepare(domain: TriangulatedSurface, codomain: TriangulatedSurface) -> _SearchProblem:
@@ -188,7 +176,7 @@ def _prepare(domain: TriangulatedSurface, codomain: TriangulatedSurface) -> _Sea
         cod_order=cod_order,
         dom_facets=tuple(tuple(pos[v] for v in f) for f in domain.facets),
         cod_facets=cod_facets,
-        cod_apex=_apex_table(cod_facets),
+        cod_apex=apex_table(cod_facets),
     )
 
 
@@ -313,21 +301,13 @@ def _isomorphism_vectors(problem: _SearchProblem) -> list[tuple[int, ...]]:
     dom_facets, cod_apex = problem.dom_facets, problem.cod_apex
     if n != len(problem.cod_order) or len(dom_facets) != len(problem.cod_facets):
         return []
-    dom_apex = _apex_table(dom_facets)
+    dom_apex = apex_table(dom_facets)
     # On a closed surface a vertex lies on as many facets as edges.
     dom_degree, cod_degree = Counter(x for x, _ in dom_apex), Counter(x for x, _ in cod_apex)
-    # One step (x, y, z, w) per domain edge xy, walking outward from the first
-    # facet: x, y and z have images when it runs, and it sets or checks w's.
+    # x, y and z have images when a step runs, and it sets or checks w's.
     first = dom_facets[0]
     p, q, r = first
-    edges, seen, steps = [(p, q, r), (q, r, p), (r, p, q)], {(p, q), (q, r), (r, p)}, []
-    for x, y, z in edges:
-        w = sum(dom_apex[x, y]) - z
-        steps.append((x, y, z, w))
-        for u, v, t in ((x, w, y), (w, y, x)):
-            if (u, v) not in seen and (v, u) not in seen:
-                seen.add((u, v))
-                edges.append((u, v, t))
+    steps = list(facet_walk(dom_apex, first))
     found = []
     for flag in itertools.chain.from_iterable(map(itertools.permutations, problem.cod_facets)):
         if [dom_degree[t] for t in first] != [cod_degree[c] for c in flag]:
@@ -539,35 +519,31 @@ def _surface_summary(surface: TriangulatedSurface) -> str:
 
 
 def _bulk_degree_tables(problem: _SearchProblem):
-    """Index-space orientation tables for the per-vector degree tally."""
+    """Index-space tables for the per-vector degree tally: each domain facet's DFS
+    positions and sign, and oriented[a, b, c] for every order of every codomain
+    facet: its facet id, and its sign times the order's parity."""
     dom_or = orient(problem.domain)
     cod_or = orient(problem.codomain)
     dom_facets = tuple(
         (*f, dom_or.signs[label]) for f, label in zip(problem.dom_facets, problem.domain.facets)
     )
-    cod_fid = {f: fid for fid, f in enumerate(problem.cod_facets)}
-    return dom_facets, cod_fid, tuple(cod_or.signs[f] for f in problem.codomain.facets)
+    oriented = {
+        order: (fid, cod_or.signs[label] * triple_parity(order))
+        for fid, (f, label) in enumerate(zip(problem.cod_facets, problem.codomain.facets))
+        for order in itertools.permutations(f)
+    }
+    return dom_facets, oriented, len(problem.cod_facets)
 
 
-def _vector_degree(vector, dom_facets, cod_fid, cod_sign) -> int:
-    acc = [0] * len(cod_sign)
+def _vector_degree(vector, dom_facets, oriented, n_facets) -> int:
+    alg = [0] * n_facets
     for p1, p2, p3, s in dom_facets:
         a, b, c = vector[p1], vector[p2], vector[p3]
         if a == b or a == c or b == c:
             continue
-        # sort the image triple, tracking permutation parity
-        parity = 1
-        if a > b:
-            a, b = b, a
-            parity = -parity
-        if b > c:
-            b, c = c, b
-            parity = -parity
-            if a > b:
-                a, b = b, a
-                parity = -parity
-        acc[cod_fid[(a, b, c)]] += s * parity
-    algs = {cod_sign[fid] * acc[fid] for fid in range(len(cod_sign))}
+        fid, sign = oriented[a, b, c]  # a non-facet image raises KeyError
+        alg[fid] += s * sign
+    algs = set(alg)
     if len(algs) != 1:
         raise DegreeInconsistencyError(f"alg values disagree in bulk tally: {sorted(algs)}")
     return algs.pop()
@@ -590,10 +566,10 @@ def degree_spectrum(
     counted, so the chunks' totals add up to one unbudgeted run.
     """
     problem, caps, vectors, truncated, token = _sweep(domain, codomain, caps, backend, resume_token)
-    dom_facets, cod_fid, cod_sign = _bulk_degree_tables(problem)
+    tables = _bulk_degree_tables(problem)
     witnesses_vec: dict[int, tuple[int, ...]] = {}
     for vec in vectors:
-        d = _vector_degree(vec, dom_facets, cod_fid, cod_sign)
+        d = _vector_degree(vec, *tables)
         if d not in witnesses_vec:
             witnesses_vec[d] = vec
 
@@ -647,16 +623,18 @@ class DegreeRange:
 def degree_bound(g1: int, g2: int) -> DegreeRange:
     """Degree constraint for maps from genus g1 to genus g2.
 
-    Targets of genus 0 or 1 have vanishing simplicial volume, so every
-    degree is allowed.  For hyperbolic targets |d| * (4*g2-4) <= 4*g1-4;
-    a strictly higher-genus target forces degree 0.
+    A strictly higher-genus target forces degree 0, since a map of nonzero
+    degree is injective on rational first cohomology; so every map from
+    the sphere to the torus has degree 0 (it lifts to the plane).  Other
+    targets of genus 0 or 1 have vanishing simplicial volume, so every
+    degree is allowed; for hyperbolic targets |d| * (4*g2-4) <= 4*g1-4.
     """
     if g1 < 0 or g2 < 0:
         raise ValueError("genus must be non-negative")
-    if g2 <= 1:
-        return DegreeRange("all-integers")
     if g1 < g2:
         return DegreeRange("zero-only")
+    if g2 <= 1:
+        return DegreeRange("all-integers")
     return DegreeRange("bounded", (g1 - 1) // (g2 - 1))
 
 

@@ -188,7 +188,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         "simplicial_volume_codomain": analysis.simplicial_volume(args.g2),
     }
     if args.g2 == 1:
-        bounds = [analysis.vertex_lower_bound(args.g1, d) for d in range(1, args.dmax + 1)]
+        # Only maps of nonzero degree have a vertex bound.
+        degrees = range(1, args.dmax + 1) if rng.kind != "zero-only" else ()
+        bounds = [analysis.vertex_lower_bound(args.g1, d) for d in degrees]
         doc["vertex_lower_bounds"] = [
             {"degree": d, "formula": b.formula, "refined": b.refined}
             for d, b in enumerate(bounds, start=1)

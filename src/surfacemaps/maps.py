@@ -25,6 +25,7 @@ from .surface import (
     ValidityReport,
     Vertex,
     Violation,
+    apex_table,
     ascending,
     orient,
     require_valid,
@@ -120,14 +121,13 @@ def validate_simplicial(f: SimplicialVertexMap) -> ValidityReport:
     # Re-run totality checks so maps built via the raw constructor are still
     # rejected loudly rather than producing nonsense reports.
     SimplicialVertexMap.build(f.domain, f.codomain, f.assignment)
-    cod_facets = f.codomain.facet_set()
-    cod_edges = set(f.codomain.edges())
+    apex = apex_table(f.codomain.facets)
     out: list[Violation] = []
     for facet in f.domain.facets:
         img = f.image_simplex(facet)
-        if len(img) == 3 and img not in cod_facets:
+        if len(img) == 3 and img[2] not in apex.get(img[:2], ()):
             out.append(Violation("nonsimplicial_facet", f"facet {list(facet)} maps onto non-facet {list(img)}"))
-        elif len(img) == 2 and img not in cod_edges:
+        elif len(img) == 2 and img not in apex:
             out.append(Violation("nonsimplicial_facet", f"facet {list(facet)} maps onto non-edge {list(img)}"))
     return ValidityReport(tuple(out))
 

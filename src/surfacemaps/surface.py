@@ -4,6 +4,11 @@ A surface is stored combinatorially: a sorted tuple of vertex labels and a
 sorted tuple of facets, each facet an ascending triple of labels.  Edges are
 always derived from facets, never stored, so the two can not disagree.
 
+One adjacency serves every algorithm here and in the map search:
+apex_table, the apexes of each edge, read for edge degrees, links and
+facet components, and facet_walk, which crosses it edge by edge from an
+ordered facet to orient surfaces and propagate isomorphisms.
+
 Orientation bookkeeping convention used throughout the package: a sign s for
 a facet with ascending vertex order (a, b, c) means the facet's oriented
 boundary is the directed cycle a->b->c->a when s = +1 and the reversed cycle
@@ -16,16 +21,16 @@ order".
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 Vertex = str
 # Ascending vertex triple; identity of a facet is its vertex set, and the
 # ascending form is the canonical representative used as a dict key.
 Triangle = tuple[Vertex, Vertex, Vertex]
 Edge = tuple[Vertex, Vertex]
+V = TypeVar("V", bound=Hashable)  # a vertex label, or a vertex index in the search tables
 
 
 class InvalidSurfaceError(ValueError):
@@ -180,13 +185,58 @@ class TriangulatedSurface:
         return self.facets[0]
 
 
-def _edge_incidence(facets: Iterable[Triangle]) -> dict[Edge, list[int]]:
-    """Map each edge to the indices of facets containing it (with multiplicity)."""
-    inc: dict[Edge, list[int]] = defaultdict(list)
-    for i, (a, b, c) in enumerate(facets):
-        for x, y in ((a, b), (a, c), (b, c)):
-            inc[(x, y) if x < y else (y, x)].append(i)
-    return inc
+def apex_table(facets: Iterable[Sequence[V]]) -> dict[tuple[V, V], list[V]]:
+    """apex[x, y] (one list, also stored as apex[y, x]) lists the apexes of edge xy.
+
+    So (x, y) is a key exactly when xy is an edge, len(apex[x, y]) is the
+    edge's facet degree (two on a closed surface), and z is in apex[x, y]
+    exactly when xyz is a facet.  Works on labels and on index triples alike.
+    """
+    apex: dict[tuple[V, V], list[V]] = {}
+    for a, b, c in facets:
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            apexes = apex.get((x, y))
+            if apexes is None:
+                apex[x, y] = apex[y, x] = [z]
+            else:
+                apexes.append(z)
+    return apex
+
+
+def facet_walk(apex: Mapping[tuple[V, V], Sequence[V]], first: Sequence[V]) -> Iterator[tuple[V, V, V, V]]:
+    """Walk a closed surface outward from the ordered facet first, one step per edge.
+
+    A step (x, y, z, w) crosses edge xy from facet xyz to facet xyw, and
+    queues xyw's other edges in the order y -> x -> w, so each step's
+    (x, y, z) runs in the orientation propagated from first's order.
+    """
+    p, q, r = first
+    queue, seen = [(p, q, r), (q, r, p), (r, p, q)], {(p, q), (q, r), (r, p)}
+    for x, y, z in queue:
+        a, b = apex[x, y]
+        w = b if a == z else a
+        yield x, y, z, w
+        for u, v, t in ((x, w, y), (w, y, x)):
+            if (u, v) not in seen and (v, u) not in seen:
+                seen.add((u, v))
+                queue.append((u, v, t))
+
+
+def _facet_components(apex: Mapping[Edge, Sequence[Vertex]]) -> int:
+    """Components of the facet adjacency graph, counted on edges: edge xy meets xz and yz for each apex z."""
+    unseen = {e for e in apex if e[0] <= e[1]}
+    count = 0
+    while unseen:
+        count += 1
+        stack = [unseen.pop()]
+        while stack:
+            x, y = stack.pop()
+            for z in apex[x, y]:
+                for e in ((x, z) if x <= z else (z, x), (y, z) if y <= z else (z, y)):
+                    if e in unseen:
+                        unseen.remove(e)
+                        stack.append(e)
+    return count
 
 
 @lru_cache(maxsize=None)
@@ -222,47 +272,37 @@ def validate_closed_surface(surface: TriangulatedSurface) -> ValidityReport:
         # Edge/link arithmetic on degenerate data produces noise, not insight.
         return ValidityReport(tuple(out))
 
-    incidence = _edge_incidence(surface.facets)
-    for edge in sorted(incidence):
-        d = len(incidence[edge])
-        if d != 2:
-            out.append(Violation("edge_degree", f"edge {list(edge)} lies in {d} facet(s), expected 2"))
+    apex = apex_table(surface.facets)
+    for x, y in sorted(e for e in apex if e[0] < e[1]):
+        if len(apex[x, y]) != 2:
+            out.append(Violation("edge_degree", f"edge {[x, y]} lies in {len(apex[x, y])} facet(s), expected 2"))
 
-    # Link of v: graph on v's neighbours whose edges are the facet sides
-    # opposite v.  A closed surface needs each link to be one simple cycle.
-    link_edges: dict[Vertex, list[Edge]] = defaultdict(list)
-    for a, b, c in surface.facets:
-        link_edges[a].append((b, c))
-        link_edges[b].append((a, c))
-        link_edges[c].append((a, b))
-    for v in sorted(used):
-        adj: dict[Vertex, set[Vertex]] = defaultdict(set)
-        degree_bad = False
-        for x, y in link_edges[v]:
-            adj[x].add(y)
-            adj[y].add(x)
-        for w in sorted(adj):
-            if len(adj[w]) != 2:
-                out.append(
-                    Violation("vertex_link", f"link of {v}: neighbour {w} has link-degree {len(adj[w])}, expected 2")
-                )
-                degree_bad = True
-        if degree_bad:
+    # Link of v: the graph on v's neighbours w, joining w to each z in
+    # apex[v, w].  A closed surface needs each link to be one simple cycle.
+    neighbours: dict[Vertex, list[Vertex]] = {}
+    for v, w in apex:
+        neighbours.setdefault(v, []).append(w)
+    for v in sorted(neighbours):
+        ws = sorted(neighbours[v])
+        bad = [w for w in ws if len(apex[v, w]) != 2]
+        for w in bad:
+            out.append(
+                Violation("vertex_link", f"link of {v}: neighbour {w} has link-degree {len(apex[v, w])}, expected 2")
+            )
+        if bad:
             continue
-        start = min(adj)
-        reached = {start}
-        queue = deque([start])
-        while queue:
-            w = queue.popleft()
-            for z in adj[w]:
-                if z not in reached:
-                    reached.add(z)
-                    queue.append(z)
-        if len(reached) != len(adj):
+        # Every link vertex has two neighbours: the link is one cycle when
+        # the walk around it from ws[0] meets all of ws.
+        prev, w, steps = ws[0], apex[v, ws[0]][0], 1
+        while w != ws[0]:
+            a, b = apex[v, w]
+            prev, w, steps = w, b if a == prev else a, steps + 1
+        if steps != len(ws):
             out.append(Violation("vertex_link", f"link of {v} is not a single cycle (disconnected)"))
 
-    if surface.facets and connected_components(surface) != 1:
-        out.append(Violation("disconnected", f"facet adjacency graph has {connected_components(surface)} components"))
+    components = _facet_components(apex)
+    if components > 1:
+        out.append(Violation("disconnected", f"facet adjacency graph has {components} components"))
 
     return ValidityReport(tuple(out))
 
@@ -277,27 +317,7 @@ def require_valid(surface: TriangulatedSurface) -> None:
 
 def connected_components(surface: TriangulatedSurface) -> int:
     """Number of components of the facet adjacency (dual) graph; empty complex -> 0."""
-    n = len(surface.facets)
-    if n == 0:
-        return 0
-    incidence = _edge_incidence(surface.facets)
-    seen = [False] * n
-    count = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        count += 1
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            i = queue.popleft()
-            a, b, c = surface.facets[i]
-            for x, y in ((a, b), (a, c), (b, c)):
-                for j in incidence[(x, y) if x < y else (y, x)]:
-                    if not seen[j]:
-                        seen[j] = True
-                        queue.append(j)
-    return count
+    return _facet_components(apex_table(surface.facets))
 
 
 def f_vector(surface: TriangulatedSurface) -> FVector:
@@ -328,49 +348,18 @@ class Orientation:
         return self.signs[ascending(t)] * triple_parity(t)  # type: ignore[arg-type]
 
 
-def _directed_edges(facet: Triangle, sign: int) -> tuple[tuple[Vertex, Vertex], ...]:
-    a, b, c = facet
-    if sign > 0:
-        return ((a, b), (b, c), (c, a))
-    return ((b, a), (c, b), (a, c))
-
-
 @lru_cache(maxsize=None)
 def _orient_cached(surface: TriangulatedSurface, reference: tuple[Vertex, Vertex, Vertex]) -> Orientation:
     require_valid(surface)
-    facets = surface.facets
-    index = {f: i for i, f in enumerate(facets)}
-    incidence = _edge_incidence(facets)
-
-    signs: dict[int, int] = {}
-    ref_facet = ascending(reference)
-    signs[index[ref_facet]] = triple_parity(reference)
-
-    queue = deque([index[ref_facet]])
-    while queue:
-        i = queue.popleft()
-        # Orientation of facet i fixes a direction on each of its edges; the
-        # other facet on that edge must traverse it the opposite way.
-        for x, y in _directed_edges(facets[i], signs[i]):
-            key = (x, y) if x < y else (y, x)
-            for j in incidence[key]:
-                if j == i:
-                    continue
-                required = None
-                for s in (1, -1):
-                    if (y, x) in _directed_edges(facets[j], s):
-                        required = s
-                        break
-                assert required is not None
-                if j not in signs:
-                    signs[j] = required
-                    queue.append(j)
-                elif signs[j] != required:
-                    raise NonOrientableError(
-                        f"facet {list(facets[j])} receives contradictory signs; no coherent orientation exists"
-                    )
-    table = {facets[i]: s for i, s in sorted(signs.items())}
-    return Orientation(reference=reference, signs=table)
+    # A step's x -> y runs in the propagated orientation, so xyw runs y -> x -> w.
+    signs = {ascending(reference): triple_parity(reference)}
+    for x, y, _, w in facet_walk(apex_table(surface.facets), reference):
+        facet, sign = ascending((x, y, w)), triple_parity((y, x, w))
+        if signs.setdefault(facet, sign) != sign:
+            raise NonOrientableError(
+                f"facet {list(facet)} receives contradictory signs; no coherent orientation exists"
+            )
+    return Orientation(reference=reference, signs={f: signs[f] for f in surface.facets})
 
 
 def orient(surface: TriangulatedSurface, reference: Iterable[Vertex] | None = None) -> Orientation:

@@ -44,6 +44,7 @@ from surfacemaps import (
 from surfacemaps import analysis
 from surfacemaps.analysis import ENV_CAPS_VAR, KERNEL_INTERFACE
 from surfacemaps.maps import MapDefinitionError
+from surfacemaps.surface import apex_table, facet_walk
 
 TORUS = torus7()
 TETRA = tetrahedron()
@@ -265,13 +266,26 @@ def test_automorphisms_of_a_28_vertex_torus():
 )
 def test_apex_table_answers_the_edge_and_facet_checks(surface):
     problem = analysis._prepare(TETRA, surface)
-    apex, index = problem.cod_apex, {v: i for i, v in enumerate(problem.cod_order)}
-    facets = {tuple(sorted(index[v] for v in f)) for f in surface.facets}
-    edges = {frozenset((index[a], index[b])) for a, b in surface.edges()}
-    for a, b in itertools.permutations(range(len(index)), 2):
-        assert ((a, b) in apex) == (frozenset((a, b)) in edges)
-    for a, b, c in itertools.permutations(range(len(index)), 3):
-        assert (c in apex.get((a, b), ())) == (tuple(sorted((a, b, c))) in facets)
+    index = {v: i for i, v in enumerate(problem.cod_order)}
+    label_facets = set(surface.facets)
+    label_edges = {frozenset(e) for e in surface.edges()}
+    # The search's index-space table and the label-space table validation reads.
+    for apex, vertices, facets, edges in (
+        (problem.cod_apex, range(len(index)), {tuple(sorted(index[v] for v in f)) for f in label_facets},
+         {frozenset(index[v] for v in e) for e in label_edges}),
+        (apex_table(surface.facets), surface.vertices, label_facets, label_edges),
+    ):
+        for a, b in itertools.permutations(vertices, 2):
+            assert ((a, b) in apex) == (frozenset((a, b)) in edges)
+        for a, b, c in itertools.permutations(vertices, 3):
+            assert (c in apex.get((a, b), ())) == (tuple(sorted((a, b, c))) in facets)
+    # One step per edge, entering every facet, from any ordered first facet.
+    apex = apex_table(surface.facets)
+    for first in (surface.facets[0], surface.facets[-1][::-1]):
+        steps = list(facet_walk(apex, first))
+        assert sorted(tuple(sorted((x, y))) for x, y, _, _ in steps) == list(surface.edges())
+        assert {tuple(sorted(first))} | {tuple(sorted((x, y, w))) for x, y, _, w in steps} == label_facets
+        assert all(tuple(sorted((x, y, z))) in label_facets and z != w for x, y, z, w in steps)
 
 
 def test_compiled_search_memory_is_quadratic_in_the_codomain():
@@ -628,7 +642,7 @@ def test_degree_bound_cases():
     assert degree_bound(5, 3) == DegreeRange("bounded", 2)
     assert degree_bound(2, 3) == DegreeRange("zero-only")
     for g1 in range(0, 5):
-        assert degree_bound(g1, 1) == DegreeRange("all-integers")
+        assert degree_bound(g1, 1) == DegreeRange("zero-only" if g1 == 0 else "all-integers")
         assert degree_bound(g1, 0) == DegreeRange("all-integers")
     with pytest.raises(ValueError):
         degree_bound(-1, 2)

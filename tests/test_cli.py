@@ -225,6 +225,14 @@ def test_bounds_torus_target_tabulates_vertex_bounds(capsys):
     assert rows[1] == {"degree": 2, "formula": 12, "refined": 13}
 
 
+def test_bounds_sphere_to_torus_is_zero_only(capsys):
+    code, out, _ = run_cli(capsys, "bounds", "--g1", "0", "--g2", "1")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["kind"] == "zero-only" and doc["bound"] is None
+    assert doc["vertex_lower_bounds"] == []
+
+
 def test_export_off_counts_line(tmp_path, capsys):
     p = write_torus(tmp_path)
     code, out, _ = run_cli(capsys, "export", str(p), "--format", "off")

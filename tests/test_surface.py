@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import _oracles as orc
@@ -12,12 +14,14 @@ from surfacemaps import (
     TriangulatedSurface,
     ascending,
     connected_components,
+    construct,
     euler_characteristic,
     f_vector,
     genus,
     is_orientable,
     orient,
     require_valid,
+    sigma2_10v,
     triple_parity,
     validate_closed_surface,
 )
@@ -117,6 +121,82 @@ def test_disjoint_union_fails_connectivity():
     assert connected_components(TETRA) == 1
 
 
+def _with_tetra(extra):
+    return surface(list(fx.TETRAHEDRON_FACETS) + list(extra))
+
+
+def _link_degree(pairs, degree):
+    return [("vertex_link", f"link of {v}: neighbour {w} has link-degree {degree}, expected 2") for v, w in pairs]
+
+
+# Full reports, in order: each code with its detail text.
+FROZEN_VIOLATIONS = {
+    "open-disk": (
+        lambda: surface(fx.TORUS7_FACETS[:-1]),
+        [
+            ("edge_degree", f"edge {e} lies in 1 facet(s), expected 2")
+            for e in (["v4", "v6"], ["v4", "v7"], ["v6", "v7"])
+        ]
+        + _link_degree((("v4", "v6"), ("v4", "v7"), ("v6", "v4"), ("v6", "v7"), ("v7", "v4"), ("v7", "v6")), 1),
+    ),
+    "pinched-vertex": (
+        lambda: _with_tetra(tuple(v if v == "v1" else v.replace("v", "w") for v in f) for f in fx.TETRAHEDRON_FACETS),
+        [
+            ("vertex_link", "link of v1 is not a single cycle (disconnected)"),
+            ("disconnected", "facet adjacency graph has 2 components"),
+        ],
+    ),
+    "disjoint-union": (
+        lambda: _with_tetra(tuple(v.replace("v", "w") for v in f) for f in fx.TETRAHEDRON_FACETS),
+        [("disconnected", "facet adjacency graph has 2 components")],
+    ),
+    "edge-on-three-facets": (
+        lambda: _with_tetra([("v1", "v2", "v5")]),
+        [
+            ("edge_degree", "edge ['v1', 'v2'] lies in 3 facet(s), expected 2"),
+            ("edge_degree", "edge ['v1', 'v5'] lies in 1 facet(s), expected 2"),
+            ("edge_degree", "edge ['v2', 'v5'] lies in 1 facet(s), expected 2"),
+            *_link_degree((("v1", "v2"),), 3),
+            *_link_degree((("v1", "v5"),), 1),
+            *_link_degree((("v2", "v1"),), 3),
+            *_link_degree((("v2", "v5"), ("v5", "v1"), ("v5", "v2")), 1),
+        ],
+    ),
+    "degenerate": (
+        lambda: TriangulatedSurface(vertices=("v1", "v2"), facets=(("v1", "v1", "v2"),), positive_reference=None),
+        [("degenerate_facet", "facet ['v1', 'v1', 'v2'] has a repeated vertex")],
+    ),
+    "duplicate": (
+        lambda: TriangulatedSurface(
+            vertices=("v1", "v2", "v3"), facets=(("v1", "v2", "v3"), ("v1", "v2", "v3")), positive_reference=None
+        ),
+        [("duplicate_facet", "facet ['v1', 'v2', 'v3'] occurs more than once")],
+    ),
+    "undeclared": (
+        lambda: TriangulatedSurface(vertices=("v1",), facets=(("v1", "v2", "v3"),), positive_reference=None),
+        [
+            ("undeclared_vertex", "vertex v2 appears in a facet but is not declared"),
+            ("undeclared_vertex", "vertex v3 appears in a facet but is not declared"),
+            ("edge_degree", "edge ['v1', 'v2'] lies in 1 facet(s), expected 2"),
+            ("edge_degree", "edge ['v1', 'v3'] lies in 1 facet(s), expected 2"),
+            ("edge_degree", "edge ['v2', 'v3'] lies in 1 facet(s), expected 2"),
+            *_link_degree((("v1", "v2"), ("v1", "v3"), ("v2", "v1"), ("v2", "v3"), ("v3", "v1"), ("v3", "v2")), 1),
+        ],
+    ),
+    "isolated": (
+        lambda: TriangulatedSurface.from_facets(fx.TETRAHEDRON_FACETS, vertices=["v9"]),
+        [("isolated_vertex", "vertex v9 lies in no facet")],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(FROZEN_VIOLATIONS))
+def test_violation_reports_are_frozen(case):
+    build, expected = FROZEN_VIOLATIONS[case]
+    report = validate_closed_surface(build())
+    assert [(v.code, v.detail) for v in report.violations] == expected
+
+
 def test_require_valid_raises_with_detail():
     with pytest.raises(InvalidSurfaceError):
         require_valid(surface(fx.TORUS7_FACETS[:-1]))
@@ -128,11 +208,41 @@ def test_orientation_matches_fixture_sign_table():
     assert {f for f, s in signs.items() if s == -1} == fx.TORUS7_NEGATIVE
 
 
-def test_orientation_matches_edge_walk_oracle():
-    for s in (TORUS, TETRA):
-        ref = s.default_reference()
-        oracle = orc.orientation_by_edge_walk(s.facets, ref)
-        assert oracle == dict(orient(s).signs)
+def relabelled(s, seed):
+    """s with its labels permuted in a seeded order, so ascending orders change."""
+    labels = list(s.vertices)
+    random.Random(seed).shuffle(labels)
+    return s.relabel(dict(zip(s.vertices, labels)))
+
+
+ORIENTATION_CASES = {
+    "torus7": lambda: TORUS,
+    "tetrahedron": lambda: TETRA,
+    "sigma2_10v": lambda: sigma2_10v().surface,
+    **{f"construct({g},{d})": (lambda g=g, d=d: construct(g, d).surface) for g in range(1, 4) for d in range(-4, 5)},
+    **{
+        f"relabelled-{name}-{seed}": (lambda build=build, seed=seed: relabelled(build(), seed))
+        for name, build in (
+            ("torus7", lambda: TORUS),
+            ("sigma2_10v", lambda: sigma2_10v().surface),
+            ("construct(3,2)", lambda: construct(3, 2).surface),
+        )
+        for seed in range(3)
+    },
+    **{
+        f"torus7-from-{'-'.join(r)}": (lambda r=r: TORUS.with_reference(r))
+        for a, b, c in fx.TORUS7_FACETS
+        for r in ((a, b, c), (b, a, c))
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORIENTATION_CASES))
+def test_orientation_matches_edge_walk_oracle(case):
+    s = ORIENTATION_CASES[case]()
+    ref = s.default_reference()
+    oracle = orc.orientation_by_edge_walk(s.facets, ref)
+    assert oracle == dict(orient(s).signs)
 
 
 def test_orientation_sign_respects_facet_order():
