@@ -1,9 +1,9 @@
 /* Backtracking kernel for the simplicial-map enumerator.
  *
- * Runs the same search in the same emission order as the pure-Python
- * reference (surfacemaps.analysis._python_search); the test suite compares
- * the two backends output for output.  All index tables arrive flattened
- * from the caller, so this module knows nothing about surfaces.  The
+ * search() takes exactly the arguments of the pure-Python reference,
+ * surfacemaps.analysis._python_search, from one builder, _search_args, and
+ * returns its result in its emission order; the test suite compares the two
+ * output for output.  The tables arrive flat, so this knows no surfaces.  The
  * codomain is one apex table of 2*m*m ints: the two apexes of edge ab at
  * 2*(a*m + b), -1 where ab is not an edge.  It answers both checks: ab is
  * an edge when its first apex is set, and abc is a facet when c is an apex
@@ -184,9 +184,9 @@ run_search(const Tables *tb, long max_maps, const int *start, int *assign, int *
 
 PyDoc_STRVAR(search_doc,
 "search(n, m, pair_off, pair_pos, tri_off, tri_pos, apex, max_maps, start)\n\n"
-"Run the search; arguments and return match the Python reference.  apex\n"
-"lists the two apexes of each codomain edge ab at 2*(a*m + b), and -1 at\n"
-"both places when ab is not an edge.\n\n"
+"Run the search; takes exactly the arguments of analysis._python_search\n"
+"and returns its result.  apex lists the two apexes of each codomain edge\n"
+"ab at 2*(a*m + b), and -1 at both places when ab is not an edge.\n\n"
 "Returns (vectors, truncated) where vectors is a list of int tuples in\n"
 "lexicographic emission order and truncated is True when max_maps maps\n"
 "were emitted with candidates remaining (max_maps < 0 means no budget).\n"

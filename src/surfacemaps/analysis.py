@@ -8,12 +8,13 @@ only while every fully-assigned domain edge lands on a codomain edge or a
 single vertex, and every fully-assigned facet lands on a facet, an edge or
 a vertex.  Both checks read the codomain's surface.apex_table, the two
 apexes of each edge: ab is an edge when it has apexes, and abc is a facet
-when c is one of them.  Two interchangeable backends run the same search:
-a compiled C kernel (surfacemaps._backtrack), which takes that table
-flattened to 2*m*m ints, and a pure-Python fallback; they emit identical
-sequences and tests compare them directly.  The kernel is used only when
-its INTERFACE number matches KERNEL_INTERFACE, so an extension left over
-from an older build of _backtrack.c counts as not built.
+when c is one of them.  Two backends run the search on one argument list,
+built by _search_args with that table flattened to 2*m*m ints: the compiled
+C kernel (surfacemaps._backtrack.search) and the pure-Python reference
+_python_search, which takes exactly the kernel's arguments and returns its
+result; tests compare the two output for output.  The kernel is used only
+when its INTERFACE number matches KERNEL_INTERFACE, so an extension left
+over from an older build of _backtrack.c counts as not built.
 
 Isomorphisms (bijective_only, and so automorphisms) are not searched
 for: _isomorphism_vectors propagates flags along the domain's
@@ -38,9 +39,9 @@ from typing import Any, Mapping, Sequence
 from .maps import (
     DegreeInconsistencyError,
     MapDefinitionError,
+    NotSimplicialError,
     SimplicialVertexMap,
     degree,
-    validate_simplicial,
 )
 from .surface import TriangulatedSurface, Vertex, apex_table, facet_walk, orient, require_valid, triple_parity
 
@@ -180,39 +181,46 @@ def _prepare(domain: TriangulatedSurface, codomain: TriangulatedSurface) -> _Sea
     )
 
 
-def _depth_checks(
-    problem: _SearchProblem,
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[tuple[int, int], ...], ...]]:
-    """(pair_checks, triple_checks) of the search, per DFS depth t: the earlier
-    positions sharing an edge with t, and the earlier pairs completing a facet at t."""
-    pairs: list[set[int]] = [set() for _ in problem.dom_order]
-    triples: list[list[tuple[int, int]]] = [[] for _ in problem.dom_order]
+def _search_args(problem: _SearchProblem) -> tuple[Any, ...]:
+    """(n, m, pair_off, pair_pos, tri_off, tri_pos, apex): the search as both backends take it.
+
+    Depth t checks the earlier positions pair_pos[pair_off[t]:pair_off[t+1]] (sharing an edge
+    with t) and the earlier pairs in tri_pos[tri_off[t]:tri_off[t+1]] (completing a facet at t),
+    both ascending.  apex holds the two apexes of codomain edge ab at 2*(a*m + b) and the next
+    place, and -1 at both when ab is not an edge.
+    """
+    n, m = len(problem.dom_order), len(problem.cod_order)
+    pairs: list[set[int]] = [set() for _ in range(n)]
+    triples: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for f in problem.dom_facets:
         i, j, k = sorted(f)
         pairs[j].add(i)
         pairs[k].update((i, j))
         triples[k].append((i, j))
-    return tuple(tuple(sorted(s)) for s in pairs), tuple(tuple(sorted(t)) for t in triples)
+    pair_off = [0, *itertools.accumulate(map(len, pairs))]
+    tri_off = [0, *itertools.accumulate(2 * len(t) for t in triples)]
+    apex = [-1] * (2 * m * m)
+    for (a, b), apexes in problem.cod_apex.items():
+        apex[2 * (a * m + b) : 2 * (a * m + b + 1)] = apexes
+    pair_pos = [s for p in pairs for s in sorted(p)]
+    tri_pos = [s for t in triples for pair in sorted(t) for s in pair]
+    return n, m, pair_off, pair_pos, tri_off, tri_pos, apex
 
 
 def _python_search(
-    problem: _SearchProblem,
-    pair_checks: Sequence[Sequence[int]],
-    triple_checks: Sequence[Sequence[tuple[int, int]]],
-    *,
-    max_maps: int | None,
-    start: tuple[int, ...] | None,
+    n: int, m: int, pair_off: Sequence[int], pair_pos: Sequence[int], tri_off: Sequence[int],
+    tri_pos: Sequence[int], apex: Sequence[int], max_maps: int, start: Sequence[int] | None,
 ) -> tuple[list[tuple[int, ...]], bool]:
-    """Reference search.  Returns (vectors, truncated).
+    """Reference search, with _backtrack.search's arguments, conventions and result.
 
-    Vectors are assignments indexed by DFS position; emission order is
-    lexicographic.  A start vector makes the search emit only vectors
-    strictly greater than it.
+    Returns (vectors, truncated): assignments indexed by DFS position, in
+    lexicographic order, and whether max_maps of them (max_maps < 0: no
+    budget) were emitted with candidates remaining.  With a start vector only
+    vectors strictly greater than it are emitted.  Unlike the kernel it
+    trusts its tables.
     """
-    n = len(problem.dom_order)
-    m = len(problem.cod_order)
-    apex = problem.cod_apex
-
+    pair_checks = [pair_pos[pair_off[t] : pair_off[t + 1]] for t in range(n)]
+    triple_checks = [[tri_pos[i : i + 2] for i in range(tri_off[t], tri_off[t + 1], 2)] for t in range(n)]
     out: list[tuple[int, ...]] = []
     assign = [0] * n
     truncated = False
@@ -220,12 +228,12 @@ def _python_search(
     def admissible(t: int, c: int) -> bool:
         for s in pair_checks[t]:
             a = assign[s]
-            if a != c and (a, c) not in apex:
+            if a != c and apex[2 * (a * m + c)] < 0:
                 return False
         for s1, s2 in triple_checks[t]:
             a, b = assign[s1], assign[s2]
-            # ab passed the edge check at the depth of s1 or s2, whichever is later
-            if a != b and a != c and b != c and c not in apex[a, b]:
+            i = 2 * (a * m + b)
+            if a != b and a != c and b != c and apex[i] != c and apex[i + 1] != c:
                 return False
         return True
 
@@ -234,17 +242,16 @@ def _python_search(
         if t == n:
             if on_prefix:  # exactly the start vector: already emitted last run
                 return True
-            if max_maps is not None and len(out) >= max_maps:
+            if 0 <= max_maps <= len(out):
                 truncated = True
                 return False
             out.append(tuple(assign))
             return True
-        lo = start[t] if (on_prefix and start is not None) else 0
-        for c in range(lo, m):
+        for c in range(start[t] if on_prefix else 0, m):
             if not admissible(t, c):
                 continue
             assign[t] = c
-            if not dfs(t + 1, on_prefix and start is not None and c == start[t]):
+            if not dfs(t + 1, on_prefix and c == start[t]):
                 return False
         return True
 
@@ -259,31 +266,6 @@ def _python_search(
 
 def available_backends() -> tuple[str, ...]:
     return ("compiled", "python") if _kernel is not None else ("python",)
-
-
-def _run_backend(
-    problem: _SearchProblem,
-    backend: str,
-    *,
-    max_maps: int | None,
-    start: tuple[int, ...] | None,
-) -> tuple[list[tuple[int, ...]], bool]:
-    """Run the search on backend "python" or "compiled" (which must be available)."""
-    pair_checks, triple_checks = _depth_checks(problem)
-    if backend == "python":
-        return _python_search(problem, pair_checks, triple_checks, max_maps=max_maps, start=start)
-    n, m = len(problem.dom_order), len(problem.cod_order)
-    pair_pos = [s for checks in pair_checks for s in checks]
-    pair_off = [0, *itertools.accumulate(map(len, pair_checks))]
-    tri_pos = [s for checks in triple_checks for pair in checks for s in pair]
-    tri_off = [0, *itertools.accumulate(2 * len(checks) for checks in triple_checks)]
-    apex_flat = [-1] * (2 * m * m)  # the apexes of edge ab at 2 * (a * m + b), -1 for a non-edge
-    for (a, b), apexes in problem.cod_apex.items():
-        apex_flat[2 * (a * m + b) : 2 * (a * m + b + 1)] = apexes
-    return _kernel.search(
-        n, m, pair_off, pair_pos, tri_off, tri_pos, apex_flat,
-        -1 if max_maps is None else max_maps, None if start is None else list(start),
-    )
 
 
 def _isomorphism_vectors(problem: _SearchProblem) -> list[tuple[int, ...]]:
@@ -426,7 +408,9 @@ def _sweep(
         truncated = caps.max_maps is not None and len(vectors) > caps.max_maps
         vectors = vectors[: caps.max_maps]
     else:
-        vectors, truncated = _run_backend(problem, backend, max_maps=caps.max_maps, start=start)
+        search = _kernel.search if backend == "compiled" else _python_search
+        budget = -1 if caps.max_maps is None else caps.max_maps
+        vectors, truncated = search(*_search_args(problem), budget, start)
     token = _make_token(problem, vectors[-1]) if truncated else None
     return problem, caps, vectors, truncated, token
 
@@ -576,10 +560,10 @@ def degree_spectrum(
     degrees = sorted(witnesses_vec)
     witnesses: dict[int, SimplicialVertexMap] = {}
     for d, w in zip(degrees, _vectors_to_maps(problem, [witnesses_vec[d] for d in degrees])):
-        check = validate_simplicial(w)
-        if not check.ok:
-            raise DegreeInconsistencyError(f"witness for degree {d} fails simpliciality re-check")
-        full = degree(w)
+        try:
+            full = degree(w)  # re-checks simpliciality first
+        except NotSimplicialError as exc:
+            raise DegreeInconsistencyError(f"witness for degree {d} fails simpliciality re-check") from exc
         if full.degree != d:
             raise DegreeInconsistencyError(
                 f"bulk tally said degree {d} but the full report says {full.degree}"

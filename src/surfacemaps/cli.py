@@ -129,6 +129,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _emit(doc)
         return 0
     vertex_map = formats.load_map(Path(args.map))
+    if vertex_map.domain != surf:  # equality includes the positive reference, which fixes the sign
+        raise formats.FormatError(f"{args.map}: the map's domain is not the surface {args.surface}")
     simplicial_report = maps.validate_simplicial(vertex_map)
     doc["simplicial"] = simplicial_report.ok
     if not simplicial_report.ok:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import itertools
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -41,9 +42,9 @@ from surfacemaps import (
     validate_simplicial,
     vertex_lower_bound,
 )
-from surfacemaps import analysis
+from surfacemaps import analysis, maps
 from surfacemaps.analysis import ENV_CAPS_VAR, KERNEL_INTERFACE
-from surfacemaps.maps import MapDefinitionError
+from surfacemaps.maps import DegreeInconsistencyError, MapDefinitionError
 from surfacemaps.surface import apex_table, facet_walk
 
 TORUS = torus7()
@@ -225,7 +226,7 @@ def test_isomorphism_paths_build_no_search_tables(monkeypatch):
     def refuse(problem):
         raise AssertionError("search tables built for an isomorphism query")
 
-    monkeypatch.setattr(analysis, "_depth_checks", refuse)
+    monkeypatch.setattr(analysis, "_search_args", refuse)
     assert len(automorphisms(TORUS)) == 42
     for backend in available_backends():
         caps = EnumerationCaps(bijective_only=True)
@@ -295,7 +296,7 @@ def test_compiled_search_memory_is_quadratic_in_the_codomain():
     assert len(problem.cod_order) == 420
     tracemalloc.start()
     try:
-        vectors, truncated = analysis._run_backend(problem, "compiled", max_maps=None, start=None)
+        vectors, truncated = analysis._kernel.search(*analysis._search_args(problem), -1, None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -336,12 +337,44 @@ KERNEL_ARGS = dict(
 )
 
 
-def test_kernel_accepts_well_formed_tables():
+def search_of(backend):
+    """The search function of backend "python" or "compiled" (skipped when not built)."""
+    if backend == "python":
+        return analysis._python_search
     require_compiled()
-    vectors, truncated = analysis._kernel.search(**KERNEL_ARGS)
+    return analysis._kernel.search
+
+
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+def test_kernel_accepts_well_formed_tables(backend):
+    # Keyword arguments: both searches must also name their parameters alike.
+    search = search_of(backend)
+    vectors, truncated = search(**KERNEL_ARGS)
     assert len(vectors) == 27 and vectors == sorted(vectors) and not truncated
-    vectors, truncated = analysis._kernel.search(**dict(KERNEL_ARGS, max_maps=4, start=[0, 1, 2]))
+    vectors, truncated = search(**dict(KERNEL_ARGS, max_maps=4, start=[0, 1, 2]))
     assert vectors == [(0, 2, 0), (0, 2, 1), (0, 2, 2), (1, 0, 0)] and truncated
+
+
+@pytest.mark.parametrize(
+    "dom, cod",
+    [(TETRA, TORUS), (RELABELLED_TORUS, TORUS), (SPHERE7, TORUS), (SIGMA2, TORUS)],
+    ids=["tetra-torus7", "relabelled-torus7", "sphere7-torus7", "sigma2_10v-torus7"],
+)
+def test_both_searches_agree_on_the_builders_arguments(dom, cod):
+    kernel = search_of("compiled")
+    args = analysis._search_args(analysis._prepare(dom, cod))
+    rng = random.Random(2009)
+    # sigma2_10v -> torus7 has 953,491 maps: budgeted only.
+    for budget in (1, 7, 997) if dom is SIGMA2 else (1, 7, 997, -1):
+        start = None
+        for _ in range(4):  # each chunk resumes from a vector of the one before
+            result = analysis._python_search(*args, budget, start)
+            assert kernel(*args, budget, start) == result
+            vectors, truncated = result
+            assert not truncated or len(vectors) == budget
+            if not vectors:
+                break
+            start = rng.choice(vectors)
 
 
 @pytest.mark.parametrize(
@@ -440,7 +473,7 @@ def test_vectors_to_maps_matches_build(dom, cod, backend):
     # torus7 and the tetrahedron are vertex-transitive, so their search order
     # is label order; sigma2_10v's is not, which exercises the reordering.
     assert (problem.dom_order != dom.vertices) == (dom is SIGMA2)
-    vectors, _ = analysis._run_backend(problem, backend, max_maps=3000, start=None)
+    vectors, _ = search_of(backend)(*analysis._search_args(problem), 3000, None)
     maps = analysis._vectors_to_maps(problem, vectors)
     assert len(maps) == len(vectors) > 0
     for vector, f in zip(vectors, maps):
@@ -622,6 +655,28 @@ def test_spectrum_backends_agree():
         assert {d: w.assignment for d, w in a.witnesses.items()} == {
             d: w.assignment for d, w in b.witnesses.items()
         }
+
+
+def test_spectrum_checks_each_witness_once(monkeypatch):
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return validate_simplicial(f)
+
+    # The spectrum's own module may call it as well as maps.degree.
+    monkeypatch.setattr(analysis, "validate_simplicial", counting, raising=False)
+    monkeypatch.setattr(maps, "validate_simplicial", counting)
+    report = degree_spectrum(TORUS, TORUS)
+    assert len(report.witnesses) == 2 and len(calls) == 2
+
+
+def test_spectrum_rejects_a_witness_the_tally_cannot_see_is_not_simplicial(monkeypatch):
+    # Every facet of the tetrahedron lands degenerate, so the tally says
+    # degree 0, but three of them land on v1v3, which is not an edge of SPHERE7.
+    monkeypatch.setattr(analysis, "_python_search", lambda *args, **kwargs: ([(0, 0, 0, 2)], False))
+    with pytest.raises(DegreeInconsistencyError, match="witness for degree 0 fails simpliciality re-check"):
+        degree_spectrum(TETRA, SPHERE7, backend="python")
 
 
 # --------------------------------------------------------------- bounds

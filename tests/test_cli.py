@@ -84,6 +84,16 @@ def test_construct_writes_bundle(tmp_path, capsys):
     assert doc["degree_report"]["degree"] == 1
 
 
+def test_verify_refuses_a_map_from_another_surface(tmp_path, capsys):
+    torus, genus2 = tmp_path / "b11", tmp_path / "b23"
+    for g, d, out_dir in ((1, 1, torus), (2, 3, genus2)):
+        assert run_cli(capsys, "construct", "--genus", str(g), "--degree", str(d), "--out", str(out_dir))[0] == 0
+    surface_path, map_path = str(torus / "domain.json"), str(genus2 / "map.json")
+    code, out, err = run_cli(capsys, "verify", surface_path, map_path)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and surface_path in err and map_path in err
+
+
 def test_verify_torus_fixture(tmp_path, capsys):
     p = write_torus(tmp_path)
     code, out, _ = run_cli(capsys, "verify", str(p))
