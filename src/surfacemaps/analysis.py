@@ -547,8 +547,13 @@ def degree_spectrum(
     and a mismatch is a bug and raises.  When the map budget interrupts the
     sweep the report is flagged partial and carries the resume token;
     passing it back as resume_token continues the sweep after the last map
-    counted, so the chunks' totals add up to one unbudgeted run.
+    counted, so the chunks' totals add up to one unbudgeted run.  Both
+    surfaces are validated, then oriented, before any search.
     """
+    for s in (domain, codomain):
+        require_valid(s)
+    for s in (domain, codomain):
+        orient(s)
     problem, caps, vectors, truncated, token = _sweep(domain, codomain, caps, backend, resume_token)
     tables = _bulk_degree_tables(problem)
     witnesses_vec: dict[int, tuple[int, ...]] = {}

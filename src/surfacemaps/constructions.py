@@ -1,17 +1,19 @@
 """Builders for the degree-d map constructions onto the 7-vertex torus.
 
-All builders emit a triangulated genus-g surface together with a vertex map
-onto torus7 and a certified degree report.  Certification is deliberate
-paranoia: every builder re-validates the closed-surface conditions, the
-genus, the exact vertex/facet counts and the degree of the emitted map, so
-a transcription slip in any table below fails loudly instead of producing a
-plausible-looking wrong complex.
+Every construction emits a triangulated genus-g surface with a vertex map
+onto torus7 and a degree report, and construct certifies each result once:
+the closed-surface conditions, the genus, the exact vertex count (the facet
+count follows from V and g) and the degree, so a transcription slip in any
+table below fails loudly instead of producing a plausible-looking wrong
+complex.
 
 One table, _VARIANTS, holds every variant once: its applicability rule on
-(g, |d|), the vertex count its formula promises, and its builder.
-recipe_for reads the rule and the count from it (the automatic choice is
-the applicable variant with the fewest vertices), the builders certify
-against that recipe, and construct dispatches through it.
+(g, |d|), the vertex count its formula promises, and its builder, which
+returns the uncertified (surface, assignment) of the degree-|d| map; the
+towers call the builders below them directly.  recipe_for reads the table
+(the automatic choice is the applicable variant with the fewest vertices)
+and construct builds through it.  The public build_* are construct with a
+fixed variant.
 
 Vertex labels follow the u_ROW_COLUMN scheme ("u_3_2"), with primed rows
 ("u_3'_2") for the two vertices created by edge-insertion subdivision.
@@ -21,7 +23,7 @@ step renames them onto the labels of the facet they are glued to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple
 
@@ -68,6 +70,9 @@ class ConstructionResult(NamedTuple):
     vertex_map: SimplicialVertexMap
     report: DegreeReport
     recipe: ConstructionRecipe
+
+
+_Built = tuple[TriangulatedSurface, dict[Vertex, Vertex]]  # a builder's uncertified (surface, assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +195,13 @@ def _u_row_col(label: str) -> tuple[str, int]:
 
 
 def _certify(
-    surface: TriangulatedSurface,
-    assignment: Mapping[Vertex, Vertex],
-    recipe: ConstructionRecipe,
-    expect_facets: int | None = None,
+    surface: TriangulatedSurface, assignment: Mapping[Vertex, Vertex], recipe: ConstructionRecipe
 ) -> ConstructionResult:
-    """Map surface onto torus7 and check genus, vertex count and degree against the recipe."""
+    """Map surface onto torus7 and check validity, genus, vertex count and degree against the recipe.
+
+    The facet count is not checked separately: a closed surface has 3F = 2E,
+    so its vertex count and genus fix F = 2V - 4 + 4g.
+    """
     vertex_map = SimplicialVertexMap.build(surface, torus7(), assignment)
     report = validate_closed_surface(surface)
     if not report.ok:
@@ -206,10 +212,6 @@ def _certify(
     if len(surface.vertices) != recipe.expected_vertices:
         raise CertificationError(
             f"built surface has {len(surface.vertices)} vertices, expected {recipe.expected_vertices}"
-        )
-    if expect_facets is not None and len(surface.facets) != expect_facets:
-        raise CertificationError(
-            f"built surface has {len(surface.facets)} facets, expected {expect_facets}"
         )
     deg_report = degree(vertex_map)
     if deg_report.degree != recipe.degree:
@@ -223,21 +225,22 @@ def _certify(
 
 
 def build_polygon(g: int, d: int) -> ConstructionResult:
-    """Degree-d map from a (7|d|+2-2g)-vertex genus-g surface, |d| >= 2g-1.
+    """Degree-d map from a (7|d|+2-2g)-vertex genus-g surface, |d| >= 2g-1: construct(g, d, "polygon")."""
+    return construct(g, d, "polygon")
 
-    The genus-g surface is assembled as a cyclic strip of 2g-1+l square
-    patches (l = |d|-(2g-1)).  Patch q uses column-q labels on its top and
-    left sides; bottom sides repeat the top labels of the partner patch
-    pi(q), which pairs patch q with patch 2g-q+l for q < g, leaves patches
-    g..g+l self-identified, and corner labels u_1_* close the strip into a
-    single polygon with all corners of the original 4g-gon identified.
-    The map collapses columns: u_ROW_COL -> vROW.  Negative d reverses the
-    domain reference.
+
+def _polygon(g: int, m: int) -> _Built:
+    """The strip of m square patches: a genus-g surface with a degree-m map, m >= 2g-1.
+
+    The patches are 2g-1+l in number (l = m-(2g-1)).  Patch q uses column-q
+    labels on its top and left sides; bottom sides repeat the top labels of
+    the partner patch pi(q), which pairs patch q with patch 2g-q+l for
+    q < g, leaves patches g..g+l self-identified, and corner labels u_1_*
+    close the strip into a single polygon with all corners of the original
+    4g-gon identified.  The map collapses columns: u_ROW_COL -> vROW.
     """
-    recipe = recipe_for(g, d, "polygon")
-    mag = abs(d)
-    l = mag - (2 * g - 1)
-    n_quads = 2 * g - 1 + l  # == mag
+    l = m - (2 * g - 1)
+    n_quads = 2 * g - 1 + l  # == m
 
     def corner(q: int) -> str:
         q = (q - 1) % n_quads + 1
@@ -275,10 +278,7 @@ def build_polygon(g: int, d: int) -> ConstructionResult:
     surface = TriangulatedSurface.from_facets(
         facets, positive_reference=(_u(1, 1), _u(2, 1), _u(4, 1))
     )
-    if d < 0:
-        surface = reverse_orientation(surface)
-    assignment = {v: f"v{_u_row_col(v)[0]}" for v in surface.vertices}
-    return _certify(surface, assignment, recipe, expect_facets=14 * mag)
+    return surface, {v: f"v{_u_row_col(v)[0]}" for v in surface.vertices}
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +444,16 @@ def _torus_copy(col: int) -> TriangulatedSurface:
 
 
 def build_sum_high(g: int, i: int) -> ConstructionResult:
-    """Degree g+i from a (6(g+i)+1)-vertex genus-g surface, 0 <= i <= g-2.
+    """Degree g+i from a (6(g+i)+1)-vertex genus-g surface, 0 <= i <= g-2: construct(g, g+i, "sum-high")."""
+    if i < 0:
+        raise VariantError(f"sum-high construction requires i >= 0, got (g={g}, i={i})")
+    return construct(g, g + i, "sum-high")
 
-    Start from the strip construction for genus i+1 at degree 2i+1, then
+
+def _sum_high(g: int, m: int) -> _Built:
+    """The sum-high tower: a genus-g surface with a degree-m map, g <= m <= 2g-2.
+
+    With i = m-g, start from the strip for genus i+1 at degree 2i+1, then
     attach g-i-1 torus copies.  Each copy first gets the designated facet
     subdivided with an interior edge (columns alternate between the
     {1,3,4} facet and the {1,3,7} facet), and the middle subdivision piece
@@ -455,11 +462,8 @@ def build_sum_high(g: int, i: int) -> ConstructionResult:
     off-centre pieces of each subdivision are the facets that map
     degenerately onto an edge of the torus.
     """
-    if i < 0:
-        raise VariantError(f"sum-high construction requires i >= 0, got (g={g}, i={i})")
-    recipe = recipe_for(g, g + i, "sum-high")
-    base = build_polygon(i + 1, 2 * i + 1)
-    surface = base.surface
+    i = m - g
+    surface = _polygon(i + 1, 2 * i + 1)[0]
     for k in range(1, g - i):
         col = 2 * i + 1 + k
         copy = _torus_copy(col)
@@ -484,14 +488,21 @@ def build_sum_high(g: int, i: int) -> ConstructionResult:
         if "'" in row:
             raise CertificationError(f"primed label {v} survived gluing; renaming is broken")
         assignment[v] = f"v{row}"
-    return _certify(surface, assignment, recipe, expect_facets=16 * g + 12 * i - 2)
+    return surface, assignment
 
 
 def build_sum_low(g: int, i: int) -> ConstructionResult:
-    """Degree g-i from a (6g-2i+1)-vertex genus-g surface, 1 <= i <= g-1.
+    """Degree g-i from a (6g-2i+1)-vertex genus-g surface, 1 <= i <= g-1: construct(g, g-i, "sum-low")."""
+    if i > g - 1:
+        raise VariantError(f"sum-low construction requires i <= g-1, got (g={g}, i={i})")
+    return construct(g, g - i, "sum-low")
 
-    Start from the genus g-i surface of the sum-high construction at degree
-    g-i (plain torus7 when g-i = 1) and attach i unsubdivided torus copies,
+
+def _sum_low(g: int, m: int) -> _Built:
+    """The sum-low tower: a genus-g surface with a degree-m map, 1 <= m <= g-1.
+
+    With i = g-m, start from the genus-m surface of the sum-high tower at
+    degree m (plain torus7 when m = 1) and attach i unsubdivided torus copies,
     alternating the glued facet between the {1,2,4} and {1,5,7} types.  The
     odd-numbered attachments glue against the copy's orientation, so those
     copies are declared reversed; the even ones glue as-is.  All vertices
@@ -500,14 +511,8 @@ def build_sum_low(g: int, i: int) -> ConstructionResult:
     copy, and that one exactly replaces the {1,2,4} facet consumed by the
     first gluing.
     """
-    if i > g - 1:
-        raise VariantError(f"sum-low construction requires i <= g-1, got (g={g}, i={i})")
-    recipe = recipe_for(g, g - i, "sum-low")
-    base_genus = g - i
-    if base_genus == 1:
-        surface = _torus_copy(1)
-    else:
-        surface = build_sum_high(base_genus, 0).surface
+    i, base_genus = g - m, m
+    surface = _torus_copy(1) if base_genus == 1 else _sum_high(base_genus, base_genus)[0]
     for k in range(1, i + 1):
         col = base_genus + k
         copy = _torus_copy(col)
@@ -532,7 +537,7 @@ def build_sum_low(g: int, i: int) -> ConstructionResult:
     for v in surface.vertices:
         row, colno = _u_row_col(v)
         assignment[v] = f"v{row}" if colno <= base_genus else "v1"
-    return _certify(surface, assignment, recipe, expect_facets=16 * g - 4 * i - 2)
+    return surface, assignment
 
 
 # ---------------------------------------------------------------------------
@@ -581,16 +586,14 @@ _SIGMA2_10V_ASSIGNMENT: dict[str, str] = {
 
 
 def sigma2_10v() -> ConstructionResult:
-    """Degree-1 map from the vertex-minimal 10-vertex genus-2 surface.
+    """Degree-1 map from the vertex-minimal 10-vertex genus-2 surface: construct(2, 1, "sigma2-10v")."""
+    return construct(2, 1, "sigma2-10v")
 
-    Domain reference [v1,v2,v3]; the vertex assignment folds the ten
-    vertices onto the seven torus vertices, with exactly eight facets
-    collapsing.
-    """
-    surface = TriangulatedSurface.from_facets(
-        _SIGMA2_10V_FACETS, positive_reference=("v1", "v2", "v3")
-    )
-    return _certify(surface, dict(_SIGMA2_10V_ASSIGNMENT), recipe_for(2, 1, "sigma2-10v"), expect_facets=24)
+
+def _sigma2_10v(g: int, m: int) -> _Built:
+    """Domain reference [v1,v2,v3]; the assignment folds the ten vertices onto torus7, collapsing eight facets."""
+    surface = TriangulatedSurface.from_facets(_SIGMA2_10V_FACETS, positive_reference=("v1", "v2", "v3"))
+    return surface, dict(_SIGMA2_10V_ASSIGNMENT)
 
 
 def sigma2_13v() -> ConstructionResult:
@@ -598,15 +601,10 @@ def sigma2_13v() -> ConstructionResult:
     return build_sum_high(2, 0)
 
 
-def _build_constant(g: int) -> ConstructionResult:
+def _constant(g: int, m: int) -> _Built:
     """The constant map to v1 from the smallest genus-g surface this module emits."""
-    if g == 1:
-        domain = torus7()
-    elif g == 2:
-        domain = sigma2_10v().surface
-    else:
-        domain = build_sum_low(g, g - 1).surface
-    return _certify(domain, {v: "v1" for v in domain.vertices}, recipe_for(g, 0, "constant"))
+    domain = torus7() if g == 1 else _sigma2_10v(2, 1)[0] if g == 2 else _sum_low(g, 1)[0]
+    return domain, {v: "v1" for v in domain.vertices}
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +616,7 @@ class _Variant(NamedTuple):
     rule: str  # the applicability rule as VariantError states it
     applies: Callable[[int, int], bool]  # (g, |d|)
     vertices: Callable[[int, int], int]  # (g, |d|) -> vertex count of the domain
-    build: Callable[[int, int], ConstructionResult]  # (g, d) -> result certified at d or at |d|
+    build: Callable[[int, int], _Built]  # (g, |d|) -> the positively oriented map, uncertified
 
 
 _VARIANTS: dict[str, _Variant] = {
@@ -626,35 +624,35 @@ _VARIANTS: dict[str, _Variant] = {
         "polygon requires |d| >= 2g-1 = {two_g_minus_1}",
         lambda g, m: m >= 2 * g - 1,
         lambda g, m: 7 * m + 2 - 2 * g,
-        build_polygon,  # handles the sign itself
+        _polygon,
     ),
     "sum-high": _Variant(
         "sum-high requires g >= 2 and g <= |d| <= 2g-2",
         lambda g, m: g >= 2 and g <= m <= 2 * g - 2,
         lambda g, m: 6 * m + 1,
-        lambda g, d: build_sum_high(g, abs(d) - g),
+        _sum_high,
     ),
     "sum-low": _Variant(
         "sum-low requires g >= 2 and 1 <= |d| <= g-1",
         lambda g, m: g >= 2 and 1 <= m <= g - 1,
         lambda g, m: 6 * g - 2 * (g - m) + 1,
-        lambda g, d: build_sum_low(g, g - abs(d)),
+        _sum_low,
     ),
     "sigma2-10v": _Variant(
         "sigma2-10v requires g = 2 and |d| = 1",
-        lambda g, m: (g, m) == (2, 1), lambda g, m: 10, lambda g, d: sigma2_10v(),
+        lambda g, m: (g, m) == (2, 1), lambda g, m: 10, _sigma2_10v,
     ),
     # Alias of sum-high at (2, 2); listed after it so the automatic choice names sum-high.
     "sigma2-13v": _Variant(
         "sigma2-13v requires g = 2 and |d| = 2",
-        lambda g, m: (g, m) == (2, 2), lambda g, m: 13, lambda g, d: sigma2_13v(),
+        lambda g, m: (g, m) == (2, 2), lambda g, m: 13, _sum_high,
     ),
     # Domains: torus7, sigma2_10v, then sum-low at i = g-1.
     "constant": _Variant(
         "constant requires d = 0",
         lambda g, m: m == 0,
         lambda g, m: 7 if g == 1 else 10 if g == 2 else 4 * g + 3,
-        lambda g, d: _build_constant(g),
+        _constant,
     ),
 }
 VARIANTS = tuple(_VARIANTS)
@@ -686,19 +684,11 @@ def recipe_for(g: int, d: int, variant: str | None = None) -> ConstructionRecipe
 def construct(g: int, d: int, variant: str | None = None) -> ConstructionResult:
     """Build the surface/map pair for (g, d) with the variant recipe_for picks.
 
-    Every variant but polygon builds at |d|; for negative d its domain
-    reference is reversed and the result re-certified against the recipe.
-    For positive d an alias's result (sigma2-13v is built as sum-high) is
-    returned under the requested recipe without a second certification.
+    The variant builds the degree-|d| map; for negative d its domain
+    reference is reversed.  The result is certified once, against the recipe.
     """
     recipe = recipe_for(g, d, variant)
-    result = _VARIANTS[recipe.variant].build(g, d)
-    if result.recipe == recipe:
-        return result
-    if d > 0 and replace(result.recipe, variant=recipe.variant) == recipe:
-        # An alias (sigma2-13v built as sum-high): same genus, degree and
-        # vertex count, so certifying again would check nothing new.
-        return result._replace(recipe=recipe)
-    # Built at |d| (and possibly under an alias's name): re-certify reversed.
-    surface = reverse_orientation(result.surface) if d < 0 else result.surface
-    return _certify(surface, result.vertex_map.assignment, recipe)
+    surface, assignment = _VARIANTS[recipe.variant].build(g, abs(d))
+    if d < 0:
+        surface = reverse_orientation(surface)
+    return _certify(surface, assignment, recipe)

@@ -243,13 +243,15 @@ def _facet_components(apex: Mapping[Edge, Sequence[Vertex]]) -> int:
 def validate_closed_surface(surface: TriangulatedSurface) -> ValidityReport:
     """Check the closed-surface conditions, reporting every violation as data.
 
-    Conditions: facets are non-degenerate and unique, vertex declarations
-    agree with facet usage, every edge lies in exactly two facets, every
-    vertex link is a single cycle, and the facet adjacency graph is
-    connected.  An empty report means the input is a closed connected
-    surface (orientable or not).
+    Conditions: there is at least one facet, facets are non-degenerate and
+    unique, vertex declarations agree with facet usage, every edge lies in
+    exactly two facets, every vertex link is a single cycle, and the facet
+    adjacency graph is connected.  An empty report means the input is a
+    closed connected surface (orientable or not).
     """
     out: list[Violation] = []
+    if not surface.facets:
+        out.append(Violation("no_facets", "the complex has no facets"))
 
     degenerate = [f for f in surface.facets if len(set(f)) != 3]
     for f in degenerate:
@@ -350,7 +352,6 @@ class Orientation:
 
 @lru_cache(maxsize=None)
 def _orient_cached(surface: TriangulatedSurface, reference: tuple[Vertex, Vertex, Vertex]) -> Orientation:
-    require_valid(surface)
     # A step's x -> y runs in the propagated orientation, so xyw runs y -> x -> w.
     signs = {ascending(reference): triple_parity(reference)}
     for x, y, _, w in facet_walk(apex_table(surface.facets), reference):
@@ -368,8 +369,10 @@ def orient(surface: TriangulatedSurface, reference: Iterable[Vertex] | None = No
     Defaults to the surface's stored positive reference, falling back to the
     lexicographically least facet in ascending order.  Deterministic for a
     fixed reference; raises NonOrientableError when propagation around some
-    dual cycle forces a contradiction.
+    dual cycle forces a contradiction, and InvalidSurfaceError, before
+    picking a reference, when the surface is not a closed surface.
     """
+    require_valid(surface)
     if reference is None:
         ref = surface.default_reference()
     else:

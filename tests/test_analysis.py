@@ -20,12 +20,14 @@ import fixtures as fx
 from surfacemaps import (
     DegreeRange,
     EnumerationCaps,
+    NonOrientableError,
     SearchCapExceeded,
     SimplicialVertexMap,
     TriangulatedSurface,
     automorphisms,
     available_backends,
     build_polygon,
+    build_sum_low,
     compose,
     construct,
     cycle_notation,
@@ -669,6 +671,22 @@ def test_spectrum_checks_each_witness_once(monkeypatch):
     monkeypatch.setattr(maps, "validate_simplicial", counting)
     report = degree_spectrum(TORUS, TORUS)
     assert len(report.witnesses) == 2 and len(calls) == 2
+
+
+@pytest.mark.parametrize("case", ["rp2-torus7", "torus7-rp2", "sum_low(2,1)-rp2"])
+def test_spectrum_refuses_a_non_orientable_surface_before_searching(monkeypatch, case):
+    rp2 = TriangulatedSurface.from_facets(fx.RP2_6_FACETS)
+    dom, cod = {
+        "rp2-torus7": (rp2, TORUS),
+        "torus7-rp2": (TORUS, rp2),
+        "sum_low(2,1)-rp2": (build_sum_low(2, 1).surface, rp2),
+    }[case]
+    searches = []
+    real = analysis._search_args
+    monkeypatch.setattr(analysis, "_search_args", lambda problem: searches.append(problem) or real(problem))
+    with pytest.raises(NonOrientableError):
+        degree_spectrum(dom, cod, EnumerationCaps(11, 11), backend="python")
+    assert searches == []
 
 
 def test_spectrum_rejects_a_witness_the_tally_cannot_see_is_not_simplicial(monkeypatch):

@@ -17,6 +17,7 @@ from surfacemaps import (
     load_surface,
     orient,
     sigma2_10v,
+    split_triangle_with_edge,
     surface_from_dict,
     tetrahedron,
     torus7,
@@ -145,6 +146,33 @@ def test_verify_non_orientable_exits_1(tmp_path, capsys):
     assert doc["orientable"] is False and doc["genus"] is None
 
 
+def write_empty(tmp_path):
+    p = tmp_path / "empty.json"
+    p.write_text(json.dumps({"vertices": [], "triangles": [], "positive_triangle": None}), encoding="utf-8")
+    return p
+
+
+def test_verify_empty_complex_exits_1(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "verify", str(write_empty(tmp_path)))
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    assert [v["code"] for v in doc["violations"]] == ["no_facets"]
+
+
+@pytest.mark.parametrize("command", ["automorphisms", "spectrum-domain", "spectrum-codomain"])
+def test_empty_complex_is_an_invalid_surface(command, tmp_path, capsys):
+    empty, torus = str(write_empty(tmp_path)), str(write_torus(tmp_path))
+    argv = {
+        "automorphisms": ["automorphisms", empty],
+        "spectrum-domain": ["spectrum", empty, torus],
+        "spectrum-codomain": ["spectrum", torus, empty],
+    }[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: not a valid closed surface: no_facets: the complex has no facets\n"
+
+
 def test_automorphisms_doc(tmp_path, capsys):
     p = write_torus(tmp_path)
     code, out, _ = run_cli(capsys, "automorphisms", str(p))
@@ -200,6 +228,19 @@ def test_spectrum_vertex_guard_exits_2(tmp_path, capsys):
     # The advice names what a CLI user can change; bijective_only is not settable here.
     assert "--caps" in err and "SURFACE_DEGREE_CAPS" in err
     assert "bijective_only" not in err
+
+
+def test_spectrum_non_orientable_input_exits_1_before_the_vertex_guard(tmp_path, capsys):
+    # A 12-vertex projective plane: over the default 10x10 caps, but refused
+    # for being non-orientable before the caps are looked at.
+    rp2 = surface_from_dict({"vertices": [], "triangles": [list(f) for f in fx.RP2_6_FACETS]})
+    for k, facet in enumerate(rp2.facets[:3]):
+        rp2 = split_triangle_with_edge(rp2, facet, f"q{k}", f"r{k}")
+    big = tmp_path / "rp2_12.json"
+    big.write_text(dump_surface(rp2), encoding="utf-8")
+    code, out, err = run_cli(capsys, "spectrum", str(big), str(write_torus(tmp_path)))
+    assert (code, out) == (1, "")
+    assert "no coherent orientation" in err
 
 
 def test_spectrum_bad_caps_exits_2(tmp_path, capsys):

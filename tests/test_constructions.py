@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+
 import pytest
 
 import _oracles as orc
 import fixtures as fx
 from surfacemaps import (
     CertificationError,
+    ConstructionRecipe,
     GluingError,
     SimplicialVertexMap,
     TriangulatedSurface,
+    VARIANTS,
     VariantError,
     build_polygon,
     build_sum_high,
@@ -18,15 +23,19 @@ from surfacemaps import (
     connected_sum,
     construct,
     degree,
+    degree_report_to_dict,
+    dumps_json,
     euler_characteristic,
     f_vector,
     genus,
+    map_to_dict,
     orient,
     recipe_for,
     reverse_orientation,
     sigma2_10v,
     sigma2_13v,
     split_triangle_with_edge,
+    surface_to_dict,
     tetrahedron,
     torus7,
     validate_closed_surface,
@@ -307,21 +316,45 @@ def test_construct_covers_negatives_and_zero(g, d):
 
 
 def test_constant_recipe_counts_without_building(monkeypatch):
-    def refuse(g, i):
-        raise AssertionError("recipe_for built a sum-low tower")
+    def refuse(g, m):
+        raise AssertionError("recipe_for built a surface")
 
-    monkeypatch.setattr(constructions, "build_sum_low", refuse)
+    for name, entry in constructions._VARIANTS.items():
+        monkeypatch.setitem(constructions._VARIANTS, name, entry._replace(build=refuse))
     assert recipe_for(4, 0).expected_vertices == 19
 
 
-@pytest.mark.parametrize(
-    "d, variant, certified",
-    [(2, None, 2), (2, "sigma2-13v", 2), (-2, None, 3), (-2, "sigma2-13v", 3)],
-)
-def test_construct_certifies_the_13_vertex_surface_once(monkeypatch, d, variant, certified):
-    # polygon(1, 1) and sum-high(2, 0) are certified as they are built; only a
-    # reversed surface (d < 0) is new and certified a third time.
-    plain = construct(2, d)
+# Every (g, d, variant) with g = 1..6, d = -8..8 and the variant applicable.
+_CONSTRUCT_GRID = [
+    (g, d, variant)
+    for g in range(1, 7)
+    for d in range(-8, 9)
+    for variant in VARIANTS
+    if constructions._VARIANTS[variant].applies(g, abs(d))
+]
+
+# sha256 of construct's surface, map, degree report and recipe JSON over
+# _CONSTRUCT_GRID, frozen from the builders that certified every level of
+# a tower as they built it.
+_FROZEN_CONSTRUCT_DIGEST = "8edfb6345f02c832a7fa75b8495363e2075030e09c8360036d9dc0fa55bf9bfa"
+
+
+def test_construct_output_is_frozen():
+    digest = hashlib.sha256()
+    for g, d, variant in _CONSTRUCT_GRID:
+        bundle = construct(g, d, variant)
+        doc = {
+            "surface": surface_to_dict(bundle.surface),
+            "map": map_to_dict(bundle.vertex_map),
+            "report": degree_report_to_dict(bundle.report),
+            "recipe": dataclasses.asdict(bundle.recipe),
+        }
+        digest.update(dumps_json(doc).encode())
+    assert digest.hexdigest() == _FROZEN_CONSTRUCT_DIGEST
+
+
+def counting_certify(monkeypatch):
+    """Patch constructions._certify to record the recipe of each call; returns the list."""
     calls = []
     real = constructions._certify
 
@@ -330,10 +363,53 @@ def test_construct_certifies_the_13_vertex_surface_once(monkeypatch, d, variant,
         return real(*args, **kwargs)
 
     monkeypatch.setattr(constructions, "_certify", counting)
+    return calls
+
+
+@pytest.mark.parametrize("d, variant", [(2, None), (2, "sigma2-13v"), (-2, None), (-2, "sigma2-13v")])
+def test_construct_certifies_the_13_vertex_surface_once(monkeypatch, d, variant):
+    # The tower below sum-high(2, 0) is built uncertified, and a reversed
+    # surface (d < 0) is certified only at d.
+    plain = construct(2, d)
+    calls = counting_certify(monkeypatch)
     result = construct(2, d, variant=variant)
-    assert len(calls) == certified
-    assert result.recipe == recipe_for(2, d, variant)
+    assert calls == [result.recipe] == [recipe_for(2, d, variant)]
     assert result._replace(recipe=plain.recipe) == plain
+
+
+def test_every_construct_call_certifies_once(monkeypatch):
+    calls = counting_certify(monkeypatch)
+    for g, d, variant in _CONSTRUCT_GRID:
+        calls.clear()
+        result = construct(g, d, variant)
+        assert calls == [result.recipe], (g, d, variant)
+
+
+_TORUS7_RECIPE = ConstructionRecipe(variant="polygon", genus=1, degree=1, expected_vertices=7)
+
+
+def open_torus7():
+    return TriangulatedSurface.from_facets(fx.TORUS7_FACETS[:-1])
+
+
+@pytest.mark.parametrize(
+    "surface, recipe, message",
+    [
+        (open_torus7, _TORUS7_RECIPE, "built surface is invalid: edge_degree"),
+        (torus7, dataclasses.replace(_TORUS7_RECIPE, genus=2), "built surface has genus 1, expected 2"),
+        (torus7, dataclasses.replace(_TORUS7_RECIPE, expected_vertices=8), "built surface has 7 vertices, expected 8"),
+        (torus7, dataclasses.replace(_TORUS7_RECIPE, degree=-1), "built map has degree 1, expected -1"),
+    ],
+    ids=["invalid", "genus", "vertices", "degree"],
+)
+def test_certify_refuses_a_result_off_its_recipe(surface, recipe, message):
+    # torus7 under the identity is a valid genus-1, 7-vertex, degree-1 result;
+    # each recipe is off in one field (or the surface has a hole).
+    domain = surface()
+    identity = {v: v for v in domain.vertices}
+    assert constructions._certify(torus7(), identity, _TORUS7_RECIPE).report.degree == 1
+    with pytest.raises(CertificationError, match=message):
+        constructions._certify(domain, identity, recipe)
 
 
 def test_construct_certifies_against_recipe():

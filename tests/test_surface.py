@@ -119,6 +119,7 @@ def test_disjoint_union_fails_connectivity():
     assert "disconnected" in validate_closed_surface(s).codes()
     assert connected_components(s) == 2
     assert connected_components(TETRA) == 1
+    assert connected_components(surface([])) == 0
 
 
 def _with_tetra(extra):
@@ -187,6 +188,7 @@ FROZEN_VIOLATIONS = {
         lambda: TriangulatedSurface.from_facets(fx.TETRAHEDRON_FACETS, vertices=["v9"]),
         [("isolated_vertex", "vertex v9 lies in no facet")],
     ),
+    "empty": (lambda: surface([]), [("no_facets", "the complex has no facets")]),
 }
 
 
@@ -305,3 +307,10 @@ def test_invalid_surface_refuses_metrics():
         f_vector(broken)
     with pytest.raises(InvalidSurfaceError):
         genus(broken)
+
+
+def test_empty_complex_refuses_metrics():
+    empty = surface([])
+    for metric in (f_vector, genus, orient, is_orientable):
+        with pytest.raises(InvalidSurfaceError, match="no_facets"):
+            metric(empty)
